@@ -12,44 +12,77 @@ package repro.core
   * Terms are keyed by a packed (snapshotId, channelIndex) — see
   * [[LinExpr.key]] — because e.g. a sum-channel expression references the
   * count-channel value of a snapshot (`s(e) = Σ s(e') + attr·c(e)`).
+  *
+  * Stored as two parallel primitive arrays sorted by key. A key, once
+  * added, stays a term even when its coefficient sums to zero, so `size`
+  * counts the distinct keys ever added (only `* 0.0` drops them).
   */
-final case class LinExpr(const: Double, terms: Map[Long, Double]) {
+final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[Double])
+    extends Serializable {
 
-  def +(o: LinExpr): LinExpr =
-    LinExpr(const + o.const,
-      o.terms.foldLeft(terms) { case (m, (k, v)) =>
-        m.updated(k, m.getOrElse(k, 0.0) + v)
-      })
+  /** Number of snapshot terms — the `s_p` factor of the cost model. */
+  def size: Int = keys.length
+  /** Key and coefficient of the i-th term, in key order. */
+  def keyAt(i: Int): Long     = keys(i)
+  def coefAt(i: Int): Double  = coefs(i)
+
+  def terms: Map[Long, Double] = keys.indices.map(i => keys(i) -> coefs(i)).toMap
+
+  def +(o: LinExpr): LinExpr = {
+    val b = new LinExpr.Builder
+    b += this
+    b += o
+    b.result()
+  }
 
   def *(a: Double): LinExpr =
     if (a == 0.0) LinExpr.zero
-    else LinExpr(const * a, terms.view.mapValues(_ * a).toMap)
+    else new LinExpr(const * a, keys, coefs.map(_ * a))
 
-  def +(c: Double): LinExpr = LinExpr(const + c, terms)
-
-  /** Number of snapshot terms — the `s_p` factor of the cost model. */
-  def size: Int = terms.size
+  def +(c: Double): LinExpr = new LinExpr(const + c, keys, coefs)
 
   /** Substitute per-query snapshot values. `lookup(snapId, chIdx)` returns
     * the value of that snapshot channel for the query being evaluated.
     */
   def eval(lookup: (Long, Int) => Double): Double = {
     var acc = const
-    terms.foreach { case (k, coef) =>
-      acc += coef * lookup(LinExpr.snapOf(k), LinExpr.chanOf(k))
+    var i = 0
+    while (i < keys.length) {
+      acc += coefs(i) * lookup(LinExpr.snapOf(keys(i)), LinExpr.chanOf(keys(i)))
+      i += 1
     }
     acc
   }
+
+  override def equals(o: Any): Boolean = o match {
+    case e: LinExpr =>
+      const == e.const && java.util.Arrays.equals(keys, e.keyArray) && java.util.Arrays.equals(coefs, e.coefArray)
+    case _ => false
+  }
+  override def hashCode: Int =
+    (const.##, java.util.Arrays.hashCode(keys), java.util.Arrays.hashCode(coefs)).##
+  override def toString: String = s"LinExpr($const, $terms)"
+
+  private def keyArray: Array[Long]    = keys
+  private def coefArray: Array[Double] = coefs
 }
 
 object LinExpr {
-  val zero: LinExpr = LinExpr(0.0, Map.empty)
+  private val NoKeys  = new Array[Long](0)
+  private val NoCoefs = new Array[Double](0)
+
+  val zero: LinExpr = new LinExpr(0.0, NoKeys, NoCoefs)
+
+  def apply(const: Double, terms: Map[Long, Double]): LinExpr = {
+    val ks = terms.keys.toArray.sorted
+    new LinExpr(const, ks, ks.map(terms))
+  }
 
   /** Expression that is exactly one snapshot channel. */
   def ofSnap(snapId: Long, chIdx: Int): LinExpr =
-    LinExpr(0.0, Map(key(snapId, chIdx) -> 1.0))
+    new LinExpr(0.0, Array(key(snapId, chIdx)), Array(1.0))
 
-  def const(c: Double): LinExpr = LinExpr(c, Map.empty)
+  def const(c: Double): LinExpr = new LinExpr(c, NoKeys, NoCoefs)
 
   /** Pack (snapshot id, channel index); engines use < 8 channels. */
   def key(snapId: Long, chIdx: Int): Long = {
@@ -58,4 +91,46 @@ object LinExpr {
   }
   def snapOf(key: Long): Long = key >>> 3
   def chanOf(key: Long): Int  = (key & 7L).toInt
+
+  /** Running sum of expressions: each `+=` merges the sorted terms into a
+    * pair of reused buffers, so summing n expressions allocates only the
+    * result.
+    */
+  final class Builder {
+    private var const = 0.0
+    private var n = 0
+    private var ks = new Array[Long](16)
+    private var cs = new Array[Double](16)
+    private var ks2 = new Array[Long](16)
+    private var cs2 = new Array[Double](16)
+
+    def clear(): Unit = { const = 0.0; n = 0 }
+
+    def +=(e: LinExpr): Unit = {
+      const += e.const
+      val m = e.size
+      if (m == 0) return
+      if (ks2.length < n + m) {
+        ks2 = new Array[Long](2 * (n + m)); cs2 = new Array[Double](2 * (n + m))
+      }
+      var i = 0; var j = 0; var o = 0
+      while (i < n || j < m) {
+        if (j == m || (i < n && ks(i) < e.keyAt(j))) {
+          ks2(o) = ks(i); cs2(o) = cs(i); i += 1
+        } else if (i == n || e.keyAt(j) < ks(i)) {
+          ks2(o) = e.keyAt(j); cs2(o) = e.coefAt(j); j += 1
+        } else {
+          ks2(o) = ks(i); cs2(o) = cs(i) + e.coefAt(j); i += 1; j += 1
+        }
+        o += 1
+      }
+      val tk = ks; ks = ks2; ks2 = tk
+      val tc = cs; cs = cs2; cs2 = tc
+      n = o
+    }
+
+    def result(): LinExpr =
+      if (n == 0) LinExpr.const(const)
+      else new LinExpr(const, java.util.Arrays.copyOf(ks, n), java.util.Arrays.copyOf(cs, n))
+  }
 }

@@ -1,12 +1,10 @@
 package repro.greta
 
-import scala.collection.mutable
-
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.ChannelSpec
+import repro.hamlet.{ChannelLayout, NodeStore}
 import repro.metrics.Metrics
-import repro.query.{Agg, CompiledQuery}
+import repro.query.{CompiledQuery, TypeIds}
 
 /** Faithful Greta [33] baseline (§3.2): one query, one pane, one graph.
   *
@@ -17,120 +15,64 @@ import repro.query.{Agg, CompiledQuery}
   * the non-shared baseline. (Hamlet's engine replaces this per-event walk
   * with graphlet running sums and shared snapshot expressions; keeping the
   * baseline on the published algorithm preserves the measured gap and
-  * gives the test suite a third independent implementation.)
+  * gives the test suite a third independent implementation.) The nodes and
+  * the walk are the column-wise [[NodeStore]] the Hamlet engine uses.
   */
 object GretaGraph {
 
   def processPane(cq: CompiledQuery, events: IterableOnce[Event], metrics: Metrics): PaneAgg = {
     val t0 = System.nanoTime()
-    val tpl = cq.tpl
-    val channels = ChannelSpec.forQueries(Seq(cq))
-    val nCh = channels.size
-    val (mmTyp, mmAttr, mmIsMin) = cq.q.agg match {
-      case Agg.Min(t, a) => (t, a, true)
-      case Agg.Max(t, a) => (t, a, false)
-      case _             => (null: String, null: String, false)
-    }
+    val layout = new ChannelLayout(Seq(cq), cq.types)
+    val nCh = layout.size
 
-    // Stored nodes: event + channel values + trend-scoped min/max.
-    final case class Node(e: Event, v: Array[Double], mn: Double, mx: Double)
-    val nodes = mutable.ArrayBuffer.empty[Node]
-    // Last matched id per mid-negation barrier (edges from before it are dead).
-    val lastNeg = Array.fill(tpl.midNegs.size)(-1L)
+    val nodes = new NodeStore(cq, nCh)
+    val v = new Array[Double](nCh)
     val finalAcc = new Array[Double](nCh)
     var finalMin = Double.PositiveInfinity
     var finalMax = Double.NegativeInfinity
 
-    events.iterator.filter(e => tpl.typeUniverse.contains(e.typ)).foreach { e =>
-      metrics.events += 1
-      val matched = cq.q.matches(e)
-      if (matched && tpl.types.contains(e.typ)) {
-        val pt = tpl.predTypes(e.typ)
-        val v = new Array[Double](nCh)
-        var mn = Double.PositiveInfinity
-        var mx = Double.NegativeInfinity
-        var j = 0
-        while (j < nodes.size) { // the O(n) predecessor walk
-          val p = nodes(j)
-          metrics.evalOps += 1
-          if (pt.contains(p.e.typ) && edgeOk(cq, lastNeg, p.e, e)) {
-            var ch = 0
-            while (ch < nCh) { v(ch) += p.v(ch); ch += 1 }
-            mn = math.min(mn, p.mn)
-            mx = math.max(mx, p.mx)
+    events.iterator.foreach { e =>
+      val tid = cq.types.of(e.typ)
+      if (tid >= 0 && TypeIds.has(cq.universeMask, tid)) {
+        metrics.events += 1
+        val matched = cq.matches(e, tid)
+        if (matched && TypeIds.has(cq.typesMask, tid)) {
+          java.util.Arrays.fill(v, 0.0)
+          nodes.walk(e, tid, cq.predMask(tid), v, metrics) // the O(n) predecessor walk
+          var mn = nodes.walkMin
+          var mx = nodes.walkMax
+          if (TypeIds.has(cq.startMask, tid)) v(0) += 1.0
+          layout.inject(e, tid, v)
+          if (tid == cq.minMaxTid && v(0) > 0) {
+            e.num.get(cq.minMaxAttr).foreach { a => mn = math.min(mn, a); mx = math.max(mx, a) }
           }
-          j += 1
+          if (v(0) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
+          nodes.append(e, tid, v, mn, mx)
+          if (TypeIds.has(cq.endMask, tid)) {
+            var ch = 0
+            while (ch < nCh) { finalAcc(ch) += v(ch); ch += 1 }
+            finalMin = math.min(finalMin, mn)
+            finalMax = math.max(finalMax, mx)
+          }
         }
-        if (tpl.startTypes.contains(e.typ)) v(0) += 1.0
-        var ch = 1
-        while (ch < nCh) {
-          val spec = channels(ch)
-          if (spec.injType.contains(e.typ))
-            v(ch) += spec.attr.map(a => e.num.getOrElse(a, 0.0)).getOrElse(1.0) * v(0)
-          ch += 1
+        // Negation roles.
+        if (matched && TypeIds.has(cq.trailingMask, tid)) {
+          java.util.Arrays.fill(finalAcc, 0.0)
+          finalMin = Double.PositiveInfinity
+          finalMax = Double.NegativeInfinity
         }
-        if (mmTyp != null && e.typ == mmTyp && v(0) > 0) {
-          e.num.get(mmAttr).foreach { a => mn = math.min(mn, a); mx = math.max(mx, a) }
-        }
-        if (v(0) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
-        nodes += Node(e, v, mn, mx)
-        if (tpl.endTypes.contains(e.typ)) {
-          ch = 0
-          while (ch < nCh) { finalAcc(ch) += v(ch); ch += 1 }
-          finalMin = math.min(finalMin, mn)
-          finalMax = math.max(finalMax, mx)
-        }
-      }
-      // Negation roles.
-      if (matched && tpl.trailingNegs.contains(e.typ)) {
-        java.util.Arrays.fill(finalAcc, 0.0)
-        finalMin = Double.PositiveInfinity
-        finalMax = Double.NegativeInfinity
-      }
-      if (matched) {
-        var b = 0
-        while (b < tpl.midNegs.size) {
-          if (tpl.midNegs(b).negType == e.typ) lastNeg(b) = e.id
-          b += 1
+        if (matched) {
+          var b = 0
+          while (b < cq.negTid.length) {
+            if (cq.negTid(b) == tid) nodes.lastNeg(b) = e.id
+            b += 1
+          }
         }
       }
     }
 
     metrics.observeBytes(nodes.size.toLong * (48L + nCh * 8L))
     metrics.wallNanos += System.nanoTime() - t0
-    val nIdx = cq.q.agg match {
-      case Agg.CountE(_) | Agg.Avg(_, _) => channels.indexWhere(_.name == "N")
-      case _                             => -1
-    }
-    val sIdx = cq.q.agg match {
-      case Agg.Sum(_, a) => channels.indexWhere(_.name == s"S:$a")
-      case Agg.Avg(_, a) => channels.indexWhere(_.name == s"S:$a")
-      case _             => -1
-    }
-    PaneAgg(
-      c = finalAcc(0),
-      n = if (nIdx >= 0) finalAcc(nIdx) else 0.0,
-      s = if (sIdx >= 0) finalAcc(sIdx) else 0.0,
-      mn = finalMin, mx = finalMax)
-  }
-
-  /** Edge validity from stored node `p` to new event `e`: mid-negation
-    * barriers kill edges whose source precedes the last matching negative
-    * event; edge predicates filter same-type adjacency.
-    */
-  private def edgeOk(cq: CompiledQuery, lastNeg: Array[Long], p: Event, e: Event): Boolean = {
-    cq.q.edgePred match {
-      case Some(ep) if p.typ == e.typ => if (!ep(p, e)) return false
-      case _                          =>
-    }
-    var b = 0
-    val negs = cq.tpl.midNegs
-    while (b < negs.size) {
-      val nb = negs(b)
-      if (lastNeg(b) >= 0 && p.id < lastNeg(b) &&
-          nb.fromTypes.contains(p.typ) && nb.toTypes.contains(e.typ)) return false
-      b += 1
-    }
-    true
+    layout.reader(cq).read(finalAcc, finalMin, finalMax)
   }
 }

@@ -1,6 +1,8 @@
 package repro.hamlet
 
-import repro.query.{Agg, CompiledQuery}
+import repro.core.PaneAgg
+import repro.events.Event
+import repro.query.{Agg, CompiledQuery, TypeIds}
 
 /** One aggregate channel carried by an engine.
   *
@@ -35,4 +37,50 @@ object ChannelSpec {
     }
     (ChannelSpec("C", None, None) +: byName.values.map(_.head).toVector.sortBy(_.name))
   }
+}
+
+/** The channel layout of a set of queries resolved against the workload's
+  * type ids: channel `ch` (≥ 1) takes an injection from every event whose
+  * type id is `injTid(ch)`.
+  */
+final class ChannelLayout(qs: Seq[CompiledQuery], types: TypeIds) extends Serializable {
+  val specs: Vector[ChannelSpec] = ChannelSpec.forQueries(qs)
+  val size: Int = specs.size
+  val injTid: Array[Int] = specs.map(_.injType.fold(-1)(types.of)).toArray
+  private val injAttr: Array[String] = specs.map(_.attr.orNull).toArray
+
+  /** What event `e` injects into channel `ch`, per unit of its own count. */
+  def injection(e: Event, ch: Int): Double =
+    if (injAttr(ch) == null) 1.0 else e.num.getOrElse(injAttr(ch), 0.0)
+
+  /** Add `e`'s injections to the channels of `v`, whose channel 0 holds
+    * the event's trend count.
+    */
+  def inject(e: Event, tid: Int, v: Array[Double]): Unit = {
+    var ch = 1
+    while (ch < size) {
+      if (injTid(ch) == tid) v(ch) += injection(e, ch) * v(0)
+      ch += 1
+    }
+  }
+
+  /** Where query `cq`'s aggregate sits in a channel accumulator. */
+  def reader(cq: CompiledQuery): AggReader = {
+    def at(name: String) = specs.indexWhere(_.name == name)
+    cq.q.agg match {
+      case Agg.CountE(_) => AggReader(at("N"), -1)
+      case Agg.Sum(_, a) => AggReader(-1, at(s"S:$a"))
+      case Agg.Avg(_, a) => AggReader(at("N"), at(s"S:$a"))
+      case _             => AggReader(-1, -1)
+    }
+  }
+}
+
+/** Channel indices of a query's event count and attribute sum (-1 when its
+  * aggregate has none); channel 0 is always the trend count.
+  */
+final case class AggReader(nIdx: Int, sIdx: Int) {
+  def read(acc: Array[Double], mn: Double, mx: Double): PaneAgg =
+    PaneAgg(c = acc(0), n = if (nIdx >= 0) acc(nIdx) else 0.0, s = if (sIdx >= 0) acc(sIdx) else 0.0,
+      mn = mn, mx = mx)
 }

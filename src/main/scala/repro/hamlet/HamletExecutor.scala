@@ -14,18 +14,20 @@ import repro.query.{CompiledQuery, CompiledWorkload}
   */
 final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends Serializable {
 
+  /** Engine plans, built once: one per sharable set under `policy`, one
+    * per singleton query (always non-shared).
+    */
+  private val plans: Vector[(EnginePlan, SharingPolicy)] =
+    wl.sets.map(set => (new EnginePlan(set.queries, Some(set.sharedType)), policy)) ++
+      wl.singletons.map(q => (new EnginePlan(Vector(q), None), NeverShare))
+
   /** Per-query aggregates for one pane of one group. */
   def processPaneAggs(events: Seq[Event], metrics: Metrics): Map[String, PaneAgg] = {
+    val evs = events.toArray
+    val tids = evs.map(e => wl.types.of(e.typ))
     val out = Map.newBuilder[String, PaneAgg]
-    wl.sets.foreach { set =>
-      val eng = new SetPaneEngine(set.queries, Some(set.sharedType),
-        ChannelSpec.forQueries(set.queries), policy, metrics)
-      out ++= eng.processPane(events)
-    }
-    wl.singletons.foreach { q =>
-      val eng = new SetPaneEngine(Vector(q), None,
-        ChannelSpec.forQueries(Seq(q)), NeverShare, metrics)
-      out ++= eng.processPane(events)
+    plans.foreach { case (plan, pol) =>
+      out ++= new SetPaneEngine(plan, pol, metrics).processPane(evs, tids)
     }
     out.result()
   }

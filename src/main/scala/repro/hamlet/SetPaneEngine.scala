@@ -1,11 +1,28 @@
 package repro.hamlet
 
-import scala.collection.mutable
-
 import repro.core.{LinExpr, PaneAgg}
 import repro.events.Event
 import repro.metrics.Metrics
-import repro.query.{CompiledQuery, NegBarrier}
+import repro.query.{CompiledQuery, TypeIds}
+
+/** Everything a [[SetPaneEngine]] needs that does not depend on the pane:
+  * the queries, the shared Kleene type's id, the channel layout, and the
+  * set's type universe. Built once per sharable set (or singleton query)
+  * when the executor is created.
+  */
+final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[String]) extends Serializable {
+  require(queries.nonEmpty, "an engine needs at least one query")
+  val k: Int = queries.size
+  private val types = queries.head.types
+  val nT: Int = types.size
+  /** Type id of the sharable Kleene type, -1 for a singleton engine. */
+  val sharedTid: Int = sharedType.fold(-1)(types.of)
+  val layout = new ChannelLayout(queries, types)
+  val readers: Vector[AggReader] = queries.map(layout.reader)
+  /** Types any member references: other events neither count nor end bursts. */
+  val universeMask: Long = queries.map(_.universeMask).reduce(_ | _)
+  val anyEdgePred: Boolean = queries.exists(_.q.edgePred.isDefined)
+}
 
 /** Online trend aggregation over one (group, pane) for one set of queries.
   *
@@ -33,206 +50,134 @@ import repro.query.{CompiledQuery, NegBarrier}
   * granularity (the paper's "snapshot x is replaced by its value per
   * query").
   *
+  * All per-event work is on type ids, bit sets and primitive arrays (see
+  * DESIGN.md, "Engine data layout"); names were resolved in the plan.
+  *
   * Not thread-safe; instantiate per (group, pane).
   */
-final class SetPaneEngine(
-    val queries: Vector[CompiledQuery],
-    val sharedType: Option[String],
-    val channels: Vector[ChannelSpec],
-    val policy: SharingPolicy,
-    val metrics: Metrics,
-) {
-  require(channels.nonEmpty && channels.head.name == "C", "channel 0 must be C")
-  private val k   = queries.size
-  private val nCh = channels.size
+final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metrics) {
+  import plan.{k, nT, sharedTid, layout}
+  private val queries = plan.queries
+  private val nCh = layout.size
   private val ChC = 0
-
-  private val typeUniverse: Set[String] = queries.flatMap(_.tpl.typeUniverse).toSet
-  private val anyEdgePred = queries.exists(_.q.edgePred.isDefined)
 
   // ------------------------------------------------------------------
   // Per-query state (non-shared graph + shared-close sums + finals)
   // ------------------------------------------------------------------
-  /** A stored per-query event node: channel values + trend-scoped min/max. */
-  private final class Node(val e: Event, val v: Array[Double], val mn: Double, val mx: Double)
-
-  private final class QState(val idx: Int, val cq: CompiledQuery) {
-    val tpl = cq.tpl
-    val barriers: Vector[(Int, NegBarrier)] = tpl.midNegs.zipWithIndex.map(_.swap).toVector
+  private final class QState(val cq: CompiledQuery) {
     val hasEdge = cq.q.edgePred.isDefined
+    val nB = cq.negTid.length
 
     /** Non-shared graph nodes of this pane (plus, for edge-predicate
       * queries, materialized per-query values of shared-processed events —
       * same-type pairs must be filterable per predecessor).
       */
-    val nodes = mutable.ArrayBuffer.empty[Node]
+    val nodes = new NodeStore(cq, nCh)
     /** Σ of this query's values over events of *closed shared graphlets*,
-      * per type — the aggregate-granularity stand-in for those events in
-      * later walks ("snapshot replaced by its value per query", §4.2).
+      * per type (`nCh` entries per type id) — the aggregate-granularity
+      * stand-in for those events in later walks ("snapshot replaced by its
+      * value per query", §4.2). `cumSharedSet` marks the types written.
       */
-    val cumShared = mutable.HashMap.empty[String, Array[Double]]
+    val cumShared = new Array[Double](nT * nCh)
+    var cumSharedSet = 0L
     /** Σ of this query's values over *all* processed events per type
       * (nodes + closed shared graphlets) — lets a merge price its
       * graphlet-level snapshot from aggregates instead of re-walking the
       * graph (§4.2: merge cost is linear, not quadratic).
       */
-    val cumAll = mutable.HashMap.empty[String, Array[Double]]
-    /** cum tables captured at the last matching mid-pattern negation:
-      * the part blocked from crossing the barrier.
+    val cumAll = new Array[Double](nT * nCh)
+    /** cum tables captured at the last matching mid-pattern negation, per
+      * (barrier, type): the part blocked from crossing the barrier.
+      * `blockedSet` counts the (barrier, type) entries written.
       */
-    val blocked = mutable.HashMap.empty[(Int, String), Array[Double]]
-    val blockedAll = mutable.HashMap.empty[(Int, String), Array[Double]]
+    val blocked = new Array[Double](nB * nT * nCh)
+    val blockedAll = new Array[Double](nB * nT * nCh)
+    var blockedSet = 0
+    private val blockedSetMask = new Array[Long](nB)
 
-    def addCum(tbl: mutable.HashMap[String, Array[Double]], typ: String, v: Array[Double]): Unit = {
-      val tgt = tbl.getOrElseUpdate(typ, new Array[Double](nCh))
+    def addCum(tbl: Array[Double], tid: Int, v: Array[Double]): Unit = {
+      val o = tid * nCh
       var ch = 0
-      while (ch < nCh) { tgt(ch) += v(ch); ch += 1 }
+      while (ch < nCh) { tbl(o + ch) += v(ch); ch += 1 }
     }
 
-    /** All-events contribution of type `T` to a new `toType` event, net of
-      * negation barriers — the merge-time snapshot value source.
+    /** Contribution of type `T` from `cum` to a new `toTid` event, net of
+      * negation barriers (the latest negation dominates because the cum
+      * tables are non-decreasing). An unwritten `blk` entry is 0.
       */
-    def allCum(T: String, toType: String, ch: Int): Double = {
-      val base = cumAll.get(T).map(_(ch)).getOrElse(0.0)
+    def cumNet(cum: Array[Double], blk: Array[Double], T: Int, toTid: Int, ch: Int): Double = {
       var bl = 0.0
-      barriers.foreach { case (bi, nb) =>
-        if (nb.fromTypes.contains(T) && nb.toTypes.contains(toType))
-          blockedAll.get((bi, T)).foreach(a => bl = math.max(bl, a(ch)))
+      var b = 0
+      while (b < nB) {
+        if (TypeIds.has(cq.negFrom(b), T) && TypeIds.has(cq.negTo(b), toTid))
+          bl = math.max(bl, blk((b * nT + T) * nCh + ch))
+        b += 1
       }
-      base - bl
+      cum(T * nCh + ch) - bl
     }
-    /** Last matched negative-event id per barrier (kills node edges). */
-    val lastNeg: Array[Long] = Array.fill(tpl.midNegs.size)(-1L)
 
+    /** A matched negative event `e` of barrier `b` blocks the current cum
+      * tables of the barrier's from-types.
+      */
+    def block(b: Int, e: Event): Unit = {
+      nodes.lastNeg(b) = e.id
+      var m = cq.negFrom(b)
+      while (m != 0L) {
+        val T = java.lang.Long.numberOfTrailingZeros(m)
+        m &= m - 1
+        val o = (b * nT + T) * nCh
+        if (!TypeIds.has(blockedSetMask(b), T)) { blockedSetMask(b) |= 1L << T; blockedSet += 1 }
+        System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
+        System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
+      }
+    }
+    /** Predecessor input of a new event `e` of type `tid` into `out`: the
+      * faithful walk over stored nodes plus the aggregate shared-close
+      * sums. Edge-pred queries skip the shared sums of their Kleene type —
+      * those events are materialized in `nodes` instead.
+      */
+    def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
+      java.util.Arrays.fill(out, 0.0)
+      val pm = cq.predMask(tid)
+      nodes.walk(e, tid, pm, out, metrics) // O(n): the published NS cost
+      var m = pm
+      while (m != 0L) {
+        val T = java.lang.Long.numberOfTrailingZeros(m)
+        m &= m - 1
+        if (!(hasEdge && T == sharedTid)) {
+          var ch = 0
+          while (ch < nCh) { out(ch) += cumNet(cumShared, blocked, T, tid, ch); ch += 1 }
+        }
+      }
+    }
+
+    val isStartOfShared = sharedTid >= 0 && TypeIds.has(cq.startMask, sharedTid)
     val finalAcc = new Array[Double](nCh)
     var finalMin = Double.PositiveInfinity
     var finalMax = Double.NegativeInfinity
-    var lastNSTyp: String = _
-
-    val (mmTyp, mmAttr) = cq.q.agg match {
-      case repro.query.Agg.Min(t, a) => (t, a)
-      case repro.query.Agg.Max(t, a) => (t, a)
-      case _                         => (null: String, null: String)
-    }
-    require(mmTyp == null || tpl.midNegs.isEmpty,
-      s"${cq.id}: MIN/MAX with mid-pattern negation is unsupported (DESIGN.md)")
-
-    /** Edge validity from stored node `p` to a new event `e`.
-      * `applyEdgePred = false` skips the same-type filter (used at
-      * graphlet open, where the reference event is synthetic and sharing
-      * uniformity guarantees the unfiltered sum is the right value).
-      */
-    def edgeOk(p: Node, e: Event, applyEdgePred: Boolean): Boolean = {
-      if (applyEdgePred) cq.q.edgePred match {
-        case Some(ep) if p.e.typ == e.typ => if (!ep(p.e, e)) return false
-        case _                            =>
-      }
-      var b = 0
-      while (b < barriers.size) {
-        val (bi, nb) = barriers(b)
-        if (lastNeg(bi) >= 0 && p.e.id < lastNeg(bi) &&
-            nb.fromTypes.contains(p.e.typ) && nb.toTypes.contains(e.typ)) return false
-        b += 1
-      }
-      true
-    }
-
-    /** Whether the edge predicate admits every stored same-type
-      * predecessor of `e` (then filtered and shared sums agree).
-      */
-    def edgeAllPass(e: Event): Boolean = {
-      val ep = cq.q.edgePred.get
-      nodes.forall(n => n.e.typ != e.typ || ep(n.e, e))
-    }
-
-    /** Closed-shared-graphlet contribution of type `T` to a new `toType`
-      * event, net of negation barriers (the latest negation dominates
-      * because cumShared is non-decreasing).
-      */
-    def sharedCum(T: String, toType: String, ch: Int): Double = {
-      val base = cumShared.get(T).map(_(ch)).getOrElse(0.0)
-      var bl = 0.0
-      barriers.foreach { case (bi, nb) =>
-        if (nb.fromTypes.contains(T) && nb.toTypes.contains(toType))
-          blocked.get((bi, T)).foreach(a => bl = math.max(bl, a(ch)))
-      }
-      base - bl
-    }
-
-    /** Predecessor input of a new event of type `typ`: the faithful walk
-      * over stored nodes plus the aggregate shared-close sums. Edge-pred
-      * queries skip the shared sums of their Kleene type — those events
-      * are materialized in `nodes` instead.
-      */
-    def predecessorBase(e: Event, typ: String,
-                        applyEdgePred: Boolean = true): (Array[Double], Double, Double) = {
-      val pt = tpl.predTypes(typ)
-      val v = new Array[Double](nCh)
-      var mn = Double.PositiveInfinity
-      var mx = Double.NegativeInfinity
-      var j = 0
-      while (j < nodes.size) { // O(n) per event: the published NS cost
-        val p = nodes(j)
-        metrics.evalOps += 1
-        if (pt.contains(p.e.typ) && edgeOk(p, e, applyEdgePred)) {
-          var ch = 0
-          while (ch < nCh) { v(ch) += p.v(ch); ch += 1 }
-          mn = math.min(mn, p.mn)
-          mx = math.max(mx, p.mx)
-        }
-        j += 1
-      }
-      pt.foreach { T =>
-        if (!(hasEdge && sharedType.contains(T))) {
-          var ch = 0
-          while (ch < nCh) { v(ch) += sharedCum(T, typ, ch); ch += 1 }
-        }
-      }
-      (v, mn, mx)
-    }
-
-    /** Index of this query's value channels in the engine layout (-1 when
-      * the query's aggregate does not use the channel).
-      */
-    val nIdx = cq.q.agg match {
-      case repro.query.Agg.CountE(_) | repro.query.Agg.Avg(_, _) =>
-        channels.indexWhere(_.name == "N")
-      case _ => -1
-    }
-    val sIdx = cq.q.agg match {
-      case repro.query.Agg.Sum(_, a) => channels.indexWhere(_.name == s"S:$a")
-      case repro.query.Agg.Avg(_, a) => channels.indexWhere(_.name == s"S:$a")
-      case _                         => -1
-    }
+    var lastNSTid = -1
   }
 
-  private val qs: Vector[QState] = queries.zipWithIndex.map { case (q, i) => new QState(i, q) }
+  private val qs: Array[QState] = queries.map(new QState(_)).toArray
+  private val scratch = new Array[Double](nCh)
 
   /** Non-shared processing of one matched event (Equations 1–3). */
-  private def processNS(st: QState, e: Event): Unit = {
-    val typ = e.typ
-    if (st.lastNSTyp != typ) { st.lastNSTyp = typ; metrics.graphlets += 1 }
-    val (v, pMn, pMx) = st.predecessorBase(e, typ)
-    if (st.tpl.startTypes.contains(typ)) v(ChC) += 1.0
-    var ch = 1
-    while (ch < nCh) {
-      val spec = channels(ch)
-      if (spec.injType.contains(typ)) {
-        val inj = spec.attr.map(a => e.num.getOrElse(a, 0.0)).getOrElse(1.0)
-        v(ch) += inj * v(ChC)
-      }
-      ch += 1
-    }
-    var mn = pMn
-    var mx = pMx
-    if (st.mmTyp != null && typ == st.mmTyp && v(ChC) > 0) {
-      e.num.get(st.mmAttr).foreach { a => mn = math.min(mn, a); mx = math.max(mx, a) }
+  private def processNS(st: QState, e: Event, tid: Int): Unit = {
+    if (st.lastNSTid != tid) { st.lastNSTid = tid; metrics.graphlets += 1 }
+    val v = scratch
+    st.predecessorBase(e, tid, v)
+    var mn = st.nodes.walkMin
+    var mx = st.nodes.walkMax
+    if (TypeIds.has(st.cq.startMask, tid)) v(ChC) += 1.0
+    layout.inject(e, tid, v)
+    if (tid == st.cq.minMaxTid && v(ChC) > 0) {
+      e.num.get(st.cq.minMaxAttr).foreach { a => mn = math.min(mn, a); mx = math.max(mx, a) }
     }
     if (v(ChC) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
-    st.nodes += new Node(e, v, mn, mx)
-    st.addCum(st.cumAll, typ, v)
-    if (st.tpl.endTypes.contains(typ)) {
-      ch = 0
+    st.nodes.append(e, tid, v, mn, mx)
+    st.addCum(st.cumAll, tid, v)
+    if (TypeIds.has(st.cq.endMask, tid)) {
+      var ch = 0
       while (ch < nCh) { st.finalAcc(ch) += v(ch); ch += 1 }
       st.finalMin = math.min(st.finalMin, mn)
       st.finalMax = math.max(st.finalMax, mx)
@@ -243,9 +188,48 @@ final class SetPaneEngine(
   // Shared graphlet (linear expressions over snapshots)
   // ------------------------------------------------------------------
   private var shActive  = false
-  private var shMembers: Vector[Int] = Vector.empty
+  private var shMembers: Array[Int] = Array.emptyIntArray
+  /** Per member: its start flag for the shared type (fixed per graphlet). */
+  private var shStart: Array[Boolean] = Array.emptyBooleanArray
+  private var shStartUniform = true
   private var shInput: Array[LinExpr] = _
-  private val shEvents = mutable.ArrayBuffer.empty[(Event, Array[LinExpr])]
+  /** Expressions of the graphlet's stored events, `nCh` per event. */
+  private var shExprs = new Array[LinExpr](64 * nCh)
+  private var shCount = 0
+  /** Σ over stored events and channels of the expression sizes. */
+  private var shTerms = 0L
+  private val sumBuilder = new LinExpr.Builder
+
+  /** Snapshot table S of the open graphlet: snapshot id `shSnapBase + s`
+    * → per query → per channel value, at `(s * k + q) * nCh + ch`.
+    * Snapshot ids are dense within a graphlet.
+    */
+  private var snapVals = new Array[Double](8 * k * nCh)
+  private var shSnapBase = 0L
+  private var nextSnap = 0L
+
+  private def liveSnaps: Int = if (shActive) (nextSnap - shSnapBase).toInt else 0
+
+  /** A new snapshot of the open graphlet, its values all zero. */
+  private def newSnap(): Long = {
+    val s = nextSnap; nextSnap += 1
+    val need = (s - shSnapBase + 1).toInt * k * nCh
+    if (need > snapVals.length) snapVals = java.util.Arrays.copyOf(snapVals, 2 * need)
+    s
+  }
+  private def snapSlot(snap: Long, q: Int): Int = ((snap - shSnapBase).toInt * k + q) * nCh
+
+  private def evalExpr(expr: LinExpr, q: Int): Double = {
+    metrics.evalOps += expr.size.toLong
+    var acc = expr.const
+    var i = 0
+    while (i < expr.size) {
+      val key = expr.keyAt(i)
+      acc += expr.coefAt(i) * snapVals(snapSlot(LinExpr.snapOf(key), q) + LinExpr.chanOf(key))
+      i += 1
+    }
+    acc
+  }
 
   /** Predecessor input of a new event in the shared graphlet: the
     * graphlet-input snapshot plus the expressions of all stored events —
@@ -253,30 +237,24 @@ final class SetPaneEngine(
     * not the walk).
     */
   private def sumEventExprs(ch: Int): LinExpr = {
-    var acc = shInput(ch)
+    sumBuilder.clear()
+    sumBuilder += shInput(ch)
     var j = 0
-    while (j < shEvents.size) {
-      acc = acc + shEvents(j)._2(ch)
-      metrics.evalOps += shEvents(j)._2(ch).size.toLong
+    while (j < shCount) {
+      val x = shExprs(j * nCh + ch)
+      sumBuilder += x
+      metrics.evalOps += x.size.toLong
       j += 1
     }
-    acc
+    sumBuilder.result()
   }
 
   /** Same walk, evaluated for one query (divergent events, Definition 9). */
-  private def sumEventValues(ch: Int, qIdx: Int): Double = {
-    var acc = evalExpr(shInput(ch), qIdx)
+  private def sumEventValues(ch: Int, q: Int): Double = {
+    var acc = evalExpr(shInput(ch), q)
     var j = 0
-    while (j < shEvents.size) { acc += evalExpr(shEvents(j)._2(ch), qIdx); j += 1 }
+    while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), q); j += 1 }
     acc
-  }
-  /** Snapshot table S: snapshot id → per-query → per-channel value. */
-  private val snapVals = mutable.HashMap.empty[Long, Array[Array[Double]]]
-  private var nextSnap = 0L
-
-  private def evalExpr(expr: LinExpr, qIdx: Int): Double = {
-    metrics.evalOps += expr.size.toLong
-    expr.eval((snap, ch) => snapVals(snap)(qIdx)(ch))
   }
 
   /** Open a shared graphlet for `members`: create the graphlet-level
@@ -284,29 +262,34 @@ final class SetPaneEngine(
     * far. This is also exactly the *merge* of §4.2, with its O(k·g·t)
     * node-walk cost.
     */
-  private def openShared(members: Vector[Int], typ: String): Unit = {
-    val snap = nextSnap; nextSnap += 1
-    val vals = Array.fill(k)(new Array[Double](nCh))
+  private def openShared(members: Vector[Int], tid: Int): Unit = {
+    shSnapBase = nextSnap
+    shActive = true
+    val snap = newSnap()
+    java.util.Arrays.fill(snapVals, 0, k * nCh, 0.0)
     members.foreach { i =>
       val st = qs(i)
       // Snapshot value from per-type aggregates (Definition 8 / Eq. 5):
       // merge prices in O(channels × predecessor types) per query instead
       // of re-walking the per-query graphs. Uniformity at merge time makes
       // the unfiltered aggregate the right value for edge-pred queries too.
-      val pt = st.tpl.predTypes(typ)
-      val v = new Array[Double](nCh)
-      pt.foreach { T =>
+      val pm = st.cq.predMask(tid)
+      val o = snapSlot(snap, i)
+      var m = pm
+      while (m != 0L) {
+        val T = java.lang.Long.numberOfTrailingZeros(m)
+        m &= m - 1
         var ch = 0
-        while (ch < nCh) { v(ch) += st.allCum(T, typ, ch); ch += 1 }
+        while (ch < nCh) { snapVals(o + ch) += st.cumNet(st.cumAll, st.blockedAll, T, tid, ch); ch += 1 }
       }
-      vals(i) = v
-      metrics.evalOps += pt.size.toLong * nCh
+      metrics.evalOps += java.lang.Long.bitCount(pm).toLong * nCh
     }
-    snapVals(snap) = vals
     shInput = Array.tabulate(nCh)(ch => LinExpr.ofSnap(snap, ch))
-    shEvents.clear()
-    shMembers = members
-    shActive = true
+    shCount = 0
+    shTerms = 0L
+    shMembers = members.toArray
+    shStart = shMembers.map(i => qs(i).isStartOfShared)
+    shStartUniform = shStart.distinct.length == 1
     metrics.snapshotsCreated += 1
     metrics.graphlets += 1
     metrics.sharedGraphlets += 1
@@ -319,16 +302,15 @@ final class SetPaneEngine(
     * continues — the *split* of §4.2.
     */
   private def closeShared(): Unit = if (shActive) {
-    val typ = sharedType.get
     shMembers.foreach { i =>
       val st = qs(i)
-      val isEnd = st.tpl.endTypes.contains(typ)
-      val v = new Array[Double](nCh)
+      val isEnd = TypeIds.has(st.cq.endMask, sharedTid)
+      val v = scratch
       var ch = 0
       while (ch < nCh) {
         var acc = 0.0
         var j = 0
-        while (j < shEvents.size) { acc += evalExpr(shEvents(j)._2(ch), i); j += 1 }
+        while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), i); j += 1 }
         v(ch) = acc
         if (isEnd) st.finalAcc(ch) += v(ch)
         ch += 1
@@ -337,87 +319,88 @@ final class SetPaneEngine(
       // their graph (nodes + cumAll); adding the graphlet sum again would
       // double count.
       if (!st.hasEdge) {
-        st.addCum(st.cumShared, typ, v)
-        st.addCum(st.cumAll, typ, v)
+        st.addCum(st.cumShared, sharedTid, v)
+        st.cumSharedSet |= 1L << sharedTid
+        st.addCum(st.cumAll, sharedTid, v)
       }
     }
+    java.util.Arrays.fill(shExprs.asInstanceOf[Array[AnyRef]], 0, shCount * nCh, null)
     shActive = false
-    shEvents.clear()
-    snapVals.clear()
+    shCount = 0
+    shTerms = 0L
   }
 
-  /** Shared processing of one event (Algorithm 1, lines 16–21). */
-  private def processShared(e: Event, typ: String): Unit = {
-    val matched = shMembers.map(i => queries(i).q.matches(e))
-    if (!matched.exists(identity)) return // matched by no sharing query: skip
-    val startFlags = shMembers.map(i => qs(i).tpl.startTypes.contains(typ))
+  /** Shared processing of burst event `bi` (Algorithm 1, lines 16–21). */
+  private def processShared(e: Event, bi: Int, tid: Int): Unit = {
+    val nm = shMembers.length
+    var nMatched = 0
+    var mi = 0
+    while (mi < nm) { if (burstMatches(bi, shMembers(mi))) nMatched += 1; mi += 1 }
+    if (nMatched == 0) return // matched by no sharing query: skip
     // Edge predicates filter every same-type adjacent pair; sharing stays
     // uniform only while every edge-predicate member admits every stored
     // predecessor (then the filtered sum equals the shared one).
-    val edgeUniform = !anyEdgePred || shMembers.zipWithIndex.forall { case (i, mi) =>
-      !qs(i).hasEdge || !matched(mi) || qs(i).edgeAllPass(e)
+    val edgeUniform = !plan.anyEdgePred || shMembers.forall { i =>
+      !qs(i).hasEdge || !burstMatches(bi, i) || qs(i).nodes.edgeAllPass(e, tid)
     }
-    val uniform = matched.forall(identity) && startFlags.distinct.size == 1 && edgeUniform
+    val uniform = nMatched == nm && shStartUniform && edgeUniform
 
     val exprs = new Array[LinExpr](nCh)
     if (uniform) {
-      val start = if (startFlags.head) 1.0 else 0.0
+      val start = if (shStart(0)) 1.0 else 0.0
       var ch = 0
       while (ch < nCh) { exprs(ch) = sumEventExprs(ch); ch += 1 }
       exprs(ChC) = exprs(ChC) + start
       ch = 1
       while (ch < nCh) {
-        val spec = channels(ch)
-        if (spec.injType.contains(typ)) {
-          val inj = spec.attr.map(a => e.num.getOrElse(a, 0.0)).getOrElse(1.0)
-          exprs(ch) = exprs(ch) + exprs(ChC) * inj
-        }
+        if (layout.injTid(ch) == tid) exprs(ch) = exprs(ch) + exprs(ChC) * layout.injection(e, ch)
         ch += 1
       }
     } else {
       // Event-level snapshot (Definition 9): per-query values computed
       // eagerly, after which propagation continues shared.
-      val snap = nextSnap; nextSnap += 1
-      val vals = Array.fill(k)(new Array[Double](nCh))
-      shMembers.zipWithIndex.foreach { case (i, mi) =>
-        if (matched(mi)) {
+      val snap = newSnap()
+      java.util.Arrays.fill(snapVals, snapSlot(snap, 0), snapSlot(snap, k), 0.0)
+      var mi = 0
+      while (mi < nm) {
+        val i = shMembers(mi)
+        if (burstMatches(bi, i)) {
           val st = qs(i)
           val base = new Array[Double](nCh)
           if (st.hasEdge) {
             // Filtered predecessors via the per-query graph walk.
-            val (v, _, _) = st.predecessorBase(e, typ)
-            Array.copy(v, 0, base, 0, nCh)
+            st.predecessorBase(e, tid, base)
           } else {
             var ch = 0
             while (ch < nCh) { base(ch) = sumEventValues(ch, i); ch += 1 }
           }
-          val c = base(ChC) + (if (startFlags(mi)) 1.0 else 0.0)
-          vals(i)(ChC) = c
+          val o = snapSlot(snap, i)
+          val c = base(ChC) + (if (shStart(mi)) 1.0 else 0.0)
+          snapVals(o + ChC) = c
           var ch = 1
           while (ch < nCh) {
-            val spec = channels(ch)
-            val inj =
-              if (spec.injType.contains(typ))
-                spec.attr.map(a => e.num.getOrElse(a, 0.0)).getOrElse(1.0)
-              else 0.0
-            vals(i)(ch) = base(ch) + inj * c
+            val inj = if (layout.injTid(ch) == tid) layout.injection(e, ch) else 0.0
+            snapVals(o + ch) = base(ch) + inj * c
             ch += 1
           }
         } // else: unmatched -> all-zero values (event invisible to i)
+        mi += 1
       }
-      snapVals(snap) = vals
       metrics.snapshotsCreated += 1
       var ch = 0
       while (ch < nCh) { exprs(ch) = LinExpr.ofSnap(snap, ch); ch += 1 }
     }
-    shEvents += ((e, exprs))
+    if ((shCount + 1) * nCh > shExprs.length) shExprs = java.util.Arrays.copyOf(shExprs, 2 * shExprs.length)
+    System.arraycopy(exprs, 0, shExprs, shCount * nCh, nCh)
+    shCount += 1
+    shTerms += exprs.iterator.map(_.size.toLong).sum
     // Edge-predicate members materialize their per-query value of this
     // event into their graph (predecessor base for later filtered walks).
-    shMembers.zipWithIndex.foreach { case (i, mi) =>
-      if (qs(i).hasEdge && matched(mi)) {
+    shMembers.foreach { i =>
+      if (qs(i).hasEdge && burstMatches(bi, i)) {
         val v = Array.tabulate(nCh)(ch => evalExpr(exprs(ch), i))
-        qs(i).nodes += new Node(e, v, Double.PositiveInfinity, Double.NegativeInfinity)
-        qs(i).addCum(qs(i).cumAll, e.typ, v)
+        qs(i).nodes.append(e, tid, v, Double.PositiveInfinity, Double.NegativeInfinity)
+        qs(i).addCum(qs(i).cumAll, tid, v)
       }
     }
     metrics.observeTerms(exprs(ChC).size.toLong)
@@ -427,109 +410,120 @@ final class SetPaneEngine(
   // Pane processing: burst segmentation, per-burst decisions, flush
   // ------------------------------------------------------------------
   private var nEvents = 0L
+  private val burstMatches = new MatchVector(k)
 
   /** Rough state-size model (paper's peak-memory metric; see Metrics). */
   private def currentBytes: Long = {
     var b = 0L
     qs.foreach { st =>
-      b += (st.cumShared.size + st.blocked.size).toLong * nCh * 8 + nCh * 8L
+      b += (java.lang.Long.bitCount(st.cumSharedSet) + st.blockedSet).toLong * nCh * 8 + nCh * 8L
       b += st.nodes.size.toLong * (48L + nCh * 8L)
     }
-    shEvents.foreach { case (_, exprs) => b += 48L + exprs.map(_.size.toLong).sum * 16L }
-    b += snapVals.size.toLong * k * nCh * 8L
+    b += shCount * 48L + shTerms * 16L
+    b += liveSnaps.toLong * k * nCh * 8L
     b
   }
 
-  private def processBurst(typ: String, evs: IndexedSeq[Event]): Unit = {
+  /** One burst: the events `events(sel(from until until))`, all of type id `tid`. */
+  private def processBurst(events: Array[Event], sel: Array[Int], from: Int, until: Int, tid: Int): Unit = {
     // Burst boundary: graphlets of all other types become inactive
     // (Definitions 6 and 10).
-    if (shActive && !sharedType.contains(typ)) closeShared()
+    if (shActive && tid != sharedTid) closeShared()
+    burstMatches.fill(queries, tid, until - from)(i => events(sel(from + i)))
 
-    if (sharedType.contains(typ) && k > 1) {
+    if (tid == sharedTid && k > 1) {
       metrics.totalBursts += 1
       val t0 = System.nanoTime()
-      val dec = SharingOptimizer.decide(policy, evs, queries, typ, nEvents)
+      val dec = SharingOptimizer.decide(policy, queries, tid, burstMatches, nEvents)
       metrics.decisions += 1
       metrics.decisionNanos += System.nanoTime() - t0
       metrics.plansExamined += dec.plansExamined
       if (dec.share) {
         metrics.sharedBursts += 1
         if (shActive) closeShared() // defensive: membership is per burst
-        openShared(dec.sharedIdx, typ)
-        val excluded = queries.indices.filterNot(dec.sharedIdx.contains)
-        evs.foreach { e =>
-          processShared(e, typ)
+        openShared(dec.sharedIdx, tid)
+        val excluded = queries.indices.filterNot(dec.sharedIdx.contains).toArray
+        var bi = 0
+        while (bi < until - from) {
+          val e = events(sel(from + bi))
+          processShared(e, bi, tid)
           excluded.foreach { i =>
-            if (qs(i).tpl.types.contains(typ) && queries(i).q.matches(e)) processNS(qs(i), e)
+            if (TypeIds.has(qs(i).cq.typesMask, tid) && burstMatches(bi, i)) processNS(qs(i), e, tid)
           }
           nEvents += 1; metrics.events += 1
+          bi += 1
         }
       } else {
         if (shActive) closeShared()
-        evs.foreach { e =>
-          qs.foreach(st => if (st.tpl.types.contains(typ) && st.cq.q.matches(e)) processNS(st, e))
+        var bi = 0
+        while (bi < until - from) {
+          val e = events(sel(from + bi))
+          var i = 0
+          while (i < k) {
+            if (TypeIds.has(qs(i).cq.typesMask, tid) && burstMatches(bi, i)) processNS(qs(i), e, tid)
+            i += 1
+          }
           nEvents += 1; metrics.events += 1
+          bi += 1
         }
       }
     } else {
-      evs.foreach { e =>
-        qs.foreach { st =>
-          if (st.tpl.types.contains(typ) && st.cq.q.matches(e)) processNS(st, e)
-          // Negation roles of this event for this query:
-          if (st.tpl.trailingNegs.contains(typ) && st.cq.q.matches(e)) {
-            // Pattern-final NOT: all trends ended so far are invalidated.
-            java.util.Arrays.fill(st.finalAcc, 0.0)
-            st.finalMin = Double.PositiveInfinity
-            st.finalMax = Double.NegativeInfinity
-          }
-          st.barriers.foreach { case (bi, nb) =>
-            if (nb.negType == typ && st.cq.q.matches(e)) {
-              st.lastNeg(bi) = e.id
-              nb.fromTypes.foreach { T =>
-                st.blocked.update((bi, T),
-                  st.cumShared.get(T).map(_.clone()).getOrElse(new Array[Double](nCh)))
-                st.blockedAll.update((bi, T),
-                  st.cumAll.get(T).map(_.clone()).getOrElse(new Array[Double](nCh)))
-              }
+      var bi = 0
+      while (bi < until - from) {
+        val e = events(sel(from + bi))
+        var i = 0
+        while (i < k) {
+          val st = qs(i)
+          if (burstMatches(bi, i)) {
+            if (TypeIds.has(st.cq.typesMask, tid)) processNS(st, e, tid)
+            // Negation roles of this event for this query:
+            if (TypeIds.has(st.cq.trailingMask, tid)) {
+              // Pattern-final NOT: all trends ended so far are invalidated.
+              java.util.Arrays.fill(st.finalAcc, 0.0)
+              st.finalMin = Double.PositiveInfinity
+              st.finalMax = Double.NegativeInfinity
             }
+            var b = 0
+            while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, e); b += 1 }
           }
+          i += 1
         }
         nEvents += 1; metrics.events += 1
+        bi += 1
       }
     }
     metrics.observeBytes(currentBytes)
   }
 
-  /** Process one pane's events (time-ordered) and return per-query
-    * aggregates. Events whose type no query references are ignored and do
-    * not end bursts.
+  /** Process one pane's events (time-ordered; `tids(i)` is the workload
+    * type id of `events(i)`, -1 for a type no query references) and return
+    * per-query aggregates. Events whose type no member references are
+    * ignored and do not end bursts.
     */
-  def processPane(events: IterableOnce[Event]): Map[String, PaneAgg] = {
+  def processPane(events: Array[Event], tids: Array[Int]): Map[String, PaneAgg] = {
     val t0 = System.nanoTime()
-    val it = events.iterator.filter(e => typeUniverse.contains(e.typ))
-    var curTyp: String = null
-    val cur = mutable.ArrayBuffer.empty[Event]
-    it.foreach { e =>
-      if (curTyp != null && e.typ != curTyp) {
-        processBurst(curTyp, cur.toIndexedSeq)
-        cur.clear()
-      }
-      curTyp = e.typ
-      cur += e
+    val sel = new Array[Int](events.length)
+    var nSel = 0
+    var i = 0
+    while (i < events.length) {
+      if (tids(i) >= 0 && TypeIds.has(plan.universeMask, tids(i))) { sel(nSel) = i; nSel += 1 }
+      i += 1
     }
-    if (curTyp != null) processBurst(curTyp, cur.toIndexedSeq)
+    var from = 0
+    while (from < nSel) {
+      val tid = tids(sel(from))
+      var until = from + 1
+      while (until < nSel && tids(sel(until)) == tid) until += 1
+      processBurst(events, sel, from, until, tid)
+      from = until
+    }
     // Pane end: every graphlet completes (Definition 10).
     closeShared()
     metrics.observeBytes(currentBytes)
     metrics.wallNanos += System.nanoTime() - t0
-    qs.map { st =>
-      st.cq.id -> PaneAgg(
-        c = st.finalAcc(ChC),
-        n = if (st.nIdx >= 0) st.finalAcc(st.nIdx) else 0.0,
-        s = if (st.sIdx >= 0) st.finalAcc(st.sIdx) else 0.0,
-        mn = st.finalMin,
-        mx = st.finalMax,
-      )
+    qs.indices.iterator.map { i =>
+      val st = qs(i)
+      st.cq.id -> plan.readers(i).read(st.finalAcc, st.finalMin, st.finalMax)
     }.toMap
   }
 }

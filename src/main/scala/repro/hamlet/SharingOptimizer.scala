@@ -1,7 +1,7 @@
 package repro.hamlet
 
 import repro.events.Event
-import repro.query.CompiledQuery
+import repro.query.{CompiledQuery, TypeIds}
 
 /** How an engine decides to share bursts of the sharable Kleene type. */
 sealed trait SharingPolicy extends Serializable
@@ -32,6 +32,39 @@ final case class Decision(
   def share: Boolean = sharedIdx.size >= 2 && benefit > 0
 }
 
+/** Predicate outcomes of one burst: whether burst event `i` satisfies the
+  * single-event predicates of query `q`. Filled once per burst, then read
+  * by the optimizer and by both propagation paths, so no predicate runs
+  * twice on the same (event, query).
+  */
+final class MatchVector(val k: Int) {
+  private var bits = new Array[Boolean](math.max(k, 1) * 64)
+  private var n = 0
+
+  def size: Int = n
+  def apply(i: Int, q: Int): Boolean = bits(i * k + q)
+
+  /** Evaluate `queries` (the engine's, in engine order) on the `size`
+    * events `event(0 until size)`, all of type id `tid`. A query whose type
+    * universe lacks `tid` matches nothing.
+    */
+  def fill(queries: Vector[CompiledQuery], tid: Int, size: Int)(event: Int => Event): Unit = {
+    if (bits.length < size * k) bits = new Array[Boolean](2 * size * k)
+    n = size
+    var i = 0
+    while (i < size) {
+      val e = event(i)
+      var q = 0
+      while (q < k) {
+        val cq = queries(q)
+        bits(i * k + q) = TypeIds.has(cq.universeMask, tid) && cq.matches(e, tid)
+        q += 1
+      }
+      i += 1
+    }
+  }
+}
+
 /** Per-burst sharing decisions (§4.2) and choice of query set (§4.3).
   *
   * Pruning principles: queries that introduce no snapshots for this burst
@@ -50,24 +83,25 @@ object SharingOptimizer {
 
   /** Decide whether (and by which queries) to share a burst.
     *
-    * @param burst       the complete burst of events of the shared type
     * @param queries     the sharable set Q_E
-    * @param sharedType  the Kleene type E
+    * @param sharedTid   type id of the Kleene type E
+    * @param burst       predicate outcomes of the complete burst of events
+    *                    of type E (its `size` is the burst length b)
     * @param eventsSoFar events of this (group, pane) processed before the
     *                    burst — the `n` of the model
     */
   def decide(
       policy: SharingPolicy,
-      burst: IndexedSeq[Event],
       queries: Vector[CompiledQuery],
-      sharedType: String,
+      sharedTid: Int,
+      burst: MatchVector,
       eventsSoFar: Long,
   ): Decision = {
     val k = queries.size
     val all = queries.indices.toVector
     val b = burst.size.toLong
-    val p = queries.map(_.tpl.predTypes(sharedType).size).sum.toDouble / k
-    val t = queries.map(_.tpl.types.size).sum.toDouble / k
+    val p = queries.map(q => java.lang.Long.bitCount(q.predMask(sharedTid))).sum.toDouble / k
+    val t = queries.map(q => java.lang.Long.bitCount(q.typesMask)).sum.toDouble / k
 
     def stats(sC: Long, sP: Long, kk: Int): BurstStats =
       BurstStats(b = b, n = eventsSoFar + b, g = b, k = kk, p = p, t = t, sC = sC, sP = sP)
@@ -83,31 +117,27 @@ object SharingOptimizer {
         // O(1) fast path (§4.2: the decision "simply plugs in locally
         // available stream statistics"): without per-event predicates or
         // edge predicates no event can diverge, so s_c = s_p = 1.
-        val startFlagsAll = queries.map(_.tpl.startTypes.contains(sharedType))
-        if (queries.forall(q => q.q.preds.isEmpty && q.q.edgePred.isEmpty) &&
-            startFlagsAll.distinct.size == 1) {
+        val startFlags = queries.map(q => TypeIds.has(q.startMask, sharedTid))
+        val startUniform = startFlags.distinct.size == 1
+        if (queries.forall(q => q.q.preds.isEmpty && q.q.edgePred.isEmpty) && startUniform) {
           val st = stats(1, 1, k)
           return Decision(all, model.benefit(st), st, 1)
         }
         // Sample the burst for predicate divergence.
         val stride = math.max(1, burst.size / SampleCap)
-        val sample = burst.indices.by(stride).map(burst)
+        val sample = (0 until burst.size).by(stride)
         val scale  = b.toDouble / sample.size
 
-        val startFlags = queries.map(_.tpl.startTypes.contains(sharedType))
-        val startUniform = startFlags.distinct.size == 1
         // Per-query divergence counts d(q): minority membership per event.
         val d = Array.fill(k)(0L)
-        var divergentEvents = 0L
+        val startMajority = startFlags.count(identity) * 2 >= k
         sample.foreach { e =>
-          val matched = queries.map(_.q.matches(e))
-          val nMatched = matched.count(identity)
+          val nMatched = (0 until k).count(i => burst(e, i))
           val uniform = (nMatched == 0 || nMatched == k) && startUniform
           if (!uniform) {
-            divergentEvents += 1
             val majority = nMatched * 2 >= k
             for (i <- 0 until k)
-              if (matched(i) != majority || !startUniform && startFlags(i) != (startFlags.count(identity) * 2 >= k))
+              if (burst(e, i) != majority || !startUniform && startFlags(i) != startMajority)
                 d(i) += 1
           }
         }
@@ -122,12 +152,11 @@ object SharingOptimizer {
           d(i) == 0L || (d(i) * scale) * g * p <= b * (log2g + n)
         }
         // Re-estimate s_c for the chosen set (divergence w.r.t. the set).
-        val chosenQs = chosen.map(queries)
         var divChosen = 0L
         if (chosen.size >= 2) {
-          val sUni = chosenQs.map(_.tpl.startTypes.contains(sharedType)).distinct.size == 1
+          val sUni = chosen.map(startFlags).distinct.size == 1
           sample.foreach { e =>
-            val nm = chosenQs.count(_.q.matches(e))
+            val nm = chosen.count(i => burst(e, i))
             if ((nm != 0 && nm != chosen.size) || !sUni) divChosen += 1
           }
         }

@@ -30,8 +30,10 @@ final case class Template(
     midNegs: Seq[NegBarrier],
     trailingNegs: Set[String],
 ) {
+  private lazy val predTypesOf: Map[String, Set[String]] = transitions.groupMap(_._2)(_._1)
+
   /** Predecessor types pt(E, q) (Example 2). */
-  def predTypes(t: String): Set[String] = transitions.collect { case (f, `t`) => f }
+  def predTypes(t: String): Set[String] = predTypesOf.getOrElse(t, Set.empty)
 
   /** All types relevant to burst/graphlet boundaries: positive + negated. */
   def typeUniverse: Set[String] = types ++ midNegs.map(_.negType) ++ trailingNegs

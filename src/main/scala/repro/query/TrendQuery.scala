@@ -1,5 +1,7 @@
 package repro.query
 
+import scala.annotation.switch
+
 import repro.events.Event
 
 /** Aggregation functions supported by trend aggregation queries
@@ -40,28 +42,36 @@ object Agg {
   */
 sealed trait Pred {
   def typ: String
-  def accepts(e: Event): Boolean
+  /** The condition itself, for an event known to be of type `typ`. */
+  def holds(e: Event): Boolean
+  def accepts(e: Event): Boolean = e.typ != typ || holds(e)
 }
-/** Numeric comparison `E.attr op v` with op in <, <=, >, >=, =, !=. */
+/** Numeric comparison `E.attr op v` with op in <, <=, >, >=, =, !=. The op
+  * is resolved when the predicate is built; an unknown op is rejected there.
+  */
 final case class NumPred(typ: String, attr: String, op: String, v: Double) extends Pred {
-  def accepts(e: Event): Boolean = {
-    if (e.typ != typ) true
-    else e.num.get(attr) match {
-      case None    => false
-      case Some(x) =>
-        op match {
-          case "<" => x < v; case "<=" => x <= v
-          case ">" => x > v; case ">=" => x >= v
-          case "=" => x == v; case "!=" => x != v
-          case other => throw new IllegalArgumentException(s"op $other")
-        }
-    }
+  private val opCode: Int = NumPred.Ops.indexOf(op)
+  require(opCode >= 0, s"unknown comparison op '$op' in $typ.$attr (expected one of ${NumPred.Ops.mkString(" ")})")
+
+  def holds(e: Event): Boolean = e.num.get(attr) match {
+    case None    => false
+    case Some(x) =>
+      (opCode: @switch) match {
+        case 0 => x < v
+        case 1 => x <= v
+        case 2 => x > v
+        case 3 => x >= v
+        case 4 => x == v
+        case _ => x != v
+      }
   }
+}
+object NumPred {
+  val Ops: Vector[String] = Vector("<", "<=", ">", ">=", "=", "!=")
 }
 /** String equality `E.attr = v`. */
 final case class StrPred(typ: String, attr: String, v: String) extends Pred {
-  def accepts(e: Event): Boolean =
-    e.typ != typ || e.str.get(attr).contains(v)
+  def holds(e: Event): Boolean = e.str.get(attr).contains(v)
 }
 
 /** WITHIN/SLIDE clause, in minutes as in Figure 1. */

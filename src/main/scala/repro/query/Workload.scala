@@ -1,15 +1,68 @@
 package repro.query
 
+import repro.events.Event
+
+/** Dense ids of the event types a workload references (positive and
+  * negated), in name order. Engines index their per-type state by these ids
+  * and hold type sets as `Long` bit sets, so a workload may reference at
+  * most 64 types.
+  */
+final case class TypeIds(names: Vector[String]) {
+  require(names.size <= 64, s"${names.size} event types; bit-set masks hold at most 64")
+  private val index: Map[String, Int] = names.zipWithIndex.toMap
+
+  def size: Int = names.size
+  /** Id of type `t`, or -1 when no query references it. */
+  def of(t: String): Int = index.getOrElse(t, -1)
+  def mask(ts: Iterable[String]): Long = ts.foldLeft(0L)((m, t) => m | (1L << index(t)))
+}
+
+object TypeIds {
+  @inline def has(mask: Long, id: Int): Boolean = ((mask >>> id) & 1L) != 0L
+}
+
 /** A query compiled against a workload: its template plus pane geometry
-  * (window/slide expressed in panes of the workload-wide gcd pane).
+  * (window/slide expressed in panes of the workload-wide gcd pane), and the
+  * template resolved to the workload's type ids so that per-event work needs
+  * no name lookups.
   */
 final case class CompiledQuery(
     q: TrendQuery,
     tpl: Template,
     windowPanes: Int,
     slidePanes: Int,
+    types: TypeIds,
 ) {
   def id: String = q.id
+
+  val typesMask: Long    = types.mask(tpl.types)
+  val startMask: Long    = types.mask(tpl.startTypes)
+  val endMask: Long      = types.mask(tpl.endTypes)
+  val trailingMask: Long = types.mask(tpl.trailingNegs)
+  val universeMask: Long = types.mask(tpl.typeUniverse)
+  /** pt(E, q) as a bit set, indexed by the id of E. */
+  val predMask: Array[Long] = Array.tabulate(types.size)(t => types.mask(tpl.predTypes(types.names(t))))
+  /** Mid-pattern negation barriers, one entry per `tpl.midNegs` element. */
+  val negTid: Array[Int]    = tpl.midNegs.map(nb => types.of(nb.negType)).toArray
+  val negFrom: Array[Long]  = tpl.midNegs.map(nb => types.mask(nb.fromTypes)).toArray
+  val negTo: Array[Long]    = tpl.midNegs.map(nb => types.mask(nb.toTypes)).toArray
+  /** For MIN/MAX: the id of the aggregated type (-1: not MIN/MAX) and the attribute. */
+  val (minMaxTid, minMaxAttr) = q.agg match {
+    case Agg.Min(t, a) => (types.of(t), a)
+    case Agg.Max(t, a) => (types.of(t), a)
+    case _             => (-1, null: String)
+  }
+  /** Single-event predicates by type id (empty: every event of the type matches). */
+  private val predsOf: Array[Array[Pred]] =
+    Array.tabulate(types.size)(t => q.preds.filter(_.typ == types.names(t)).toArray)
+
+  /** `q.matches(e)` for an event whose type id is `tid`. */
+  def matches(e: Event, tid: Int): Boolean = {
+    val ps = predsOf(tid)
+    var i = 0
+    while (i < ps.length) { if (!ps(i).holds(e)) return false; i += 1 }
+    true
+  }
 }
 
 /** A set of queries sharing one Kleene sub-pattern E+ (Definitions 4/5).
@@ -31,6 +84,7 @@ final case class SharableSet(
 /** Compiled workload: sharable sets + queries processed alone. */
 final case class CompiledWorkload(
     paneMs: Long,
+    types: TypeIds,
     queries: Vector[CompiledQuery],
     sets: Vector[SharableSet],
     singletons: Vector[CompiledQuery],
@@ -67,10 +121,20 @@ object Workload {
     require(qs.map(_.id).distinct.size == qs.size, "duplicate query ids")
     val paneMin = paneMinutes(qs)
     val paneMs  = paneMin * 60_000L
-    val compiled = qs.toVector.map { q =>
-      CompiledQuery(q, Template.compile(q),
+    val templates = qs.map(q => q -> Template.compile(q))
+    templates.foreach { case (q, tpl) =>
+      q.agg match {
+        case Agg.Min(_, _) | Agg.Max(_, _) =>
+          require(tpl.midNegs.isEmpty, s"${q.id}: MIN/MAX with mid-pattern negation is unsupported (DESIGN.md)")
+        case _ =>
+      }
+    }
+    val types = TypeIds(templates.flatMap(_._2.typeUniverse).distinct.sorted.toVector)
+    val compiled = templates.toVector.map { case (q, tpl) =>
+      CompiledQuery(q, tpl,
         windowPanes = q.window.windowMin / paneMin,
-        slidePanes  = q.window.slideMin / paneMin)
+        slidePanes  = q.window.slideMin / paneMin,
+        types = types)
     }
     val sharable = compiled
       .flatMap { cq =>
@@ -87,7 +151,7 @@ object Workload {
       .toVector
       .sortBy(_.sharedType)
     val inSets = sharable.flatMap(_.queries.map(_.id)).toSet
-    CompiledWorkload(paneMs, compiled, sharable,
+    CompiledWorkload(paneMs, types, compiled, sharable,
       singletons = compiled.filterNot(c => inSets(c.id)))
   }
 }

@@ -1,0 +1,113 @@
+package repro.hamlet
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import scala.util.Random
+
+import repro.events.{Event, StreamGen}
+import repro.harness.{BenchHarness, Workloads}
+import repro.metrics.Metrics
+import repro.query.{TrendQuery, Workload}
+import repro.testkit.{Engines, TestGen}
+
+/** Pins the engines' deterministic counters.
+  *
+  * The counters are the paper's cost model (`evalOps` is every predecessor
+  * visited and every snapshot term evaluated), so a change to an engine's
+  * data layout must leave each of them exactly where it was. Each
+  * (group, pane) unit gets its own `Metrics`, summed with `+=` as the Spark
+  * runners and the end-to-end benchmark do (so `peakBytes` is a sum of
+  * per-unit peaks).
+  */
+class HamletCountersSpec extends AnyFunSuite {
+
+  /** A small Figure 12 stream: 4 minutes, 8 companies, 12 queries. */
+  private lazy val stockWl = Workload.compile(Workloads.stockW2(12))
+  private lazy val stockUnits =
+    BenchHarness.partition(StreamGen.stockLike(4, 300, nCompanies = 8, seed = 7L), stockWl.paneMs)
+
+  /** Random workloads of the test generator, which also cover edge
+    * predicates, mid-pattern and trailing negation.
+    */
+  private def randomCases: Seq[(Seq[TrendQuery], Seq[Event])] =
+    (0 until 20).map { seed =>
+      val rnd = new Random(1000 + seed)
+      val qs = TestGen.randomWorkload(rnd, 3 + rnd.nextInt(4))
+      (qs, TestGen.stream(rnd, 40))
+    }
+
+  private def summed(units: Seq[Metrics => Unit]): Metrics = {
+    val total = new Metrics
+    units.foreach { run => val m = new Metrics; run(m); total += m }
+    total
+  }
+
+  private def stock(policy: SharingPolicy): Metrics = {
+    val exec = new HamletExecutor(stockWl, policy)
+    summed(stockUnits.map { case (_, evs) => (m: Metrics) => exec.processPaneAggs(evs, m): Unit })
+  }
+
+  private def random(policy: SharingPolicy): Metrics =
+    summed(randomCases.map { case (qs, evs) => (m: Metrics) => Engines.hamlet(qs, evs, policy, m): Unit })
+
+  private def pin(what: String, m: Metrics, want: Map[String, Long]): Unit = {
+    val got = Map(
+      "events" -> m.events, "evalOps" -> m.evalOps, "snapshots" -> m.snapshotsCreated,
+      "sharedBursts" -> m.sharedBursts, "totalBursts" -> m.totalBursts,
+      "sharedGraphlets" -> m.sharedGraphlets, "graphlets" -> m.graphlets,
+      "decisions" -> m.decisions, "plansExamined" -> m.plansExamined,
+      "peakLiveTerms" -> m.peakLiveTerms, "peakBytes" -> m.peakBytes)
+    assert(got.keySet == want.keySet)
+    want.foreach { case (k, v) => assert(got(k) == v, s"$what $k") }
+  }
+
+  test("stock counters are pinned under Dynamic") {
+    pin("stock Dynamic", stock(Dynamic()), Map(
+      "events" -> 2476L, "evalOps" -> 668943L, "snapshots" -> 16L,
+      "sharedBursts" -> 10L, "totalBursts" -> 54L, "sharedGraphlets" -> 10L, "graphlets" -> 427L,
+      "decisions" -> 54L, "plansExamined" -> 222L, "peakLiveTerms" -> 1L, "peakBytes" -> 427672L))
+  }
+
+  test("stock counters are pinned under AlwaysShare") {
+    pin("stock AlwaysShare", stock(AlwaysShare), Map(
+      "events" -> 2476L, "evalOps" -> 600168L, "snapshots" -> 2388L,
+      "sharedBursts" -> 54L, "totalBursts" -> 54L, "sharedGraphlets" -> 54L, "graphlets" -> 254L,
+      "decisions" -> 54L, "plansExamined" -> 54L, "peakLiveTerms" -> 1L, "peakBytes" -> 97160L))
+  }
+
+  test("stock counters are pinned under NeverShare") {
+    pin("stock NeverShare", stock(NeverShare), Map(
+      "events" -> 2476L, "evalOps" -> 1088316L, "snapshots" -> 0L,
+      "sharedBursts" -> 0L, "totalBursts" -> 54L, "sharedGraphlets" -> 0L, "graphlets" -> 524L,
+      "decisions" -> 54L, "plansExamined" -> 54L, "peakLiveTerms" -> 0L, "peakBytes" -> 628896L))
+  }
+
+  test("random-workload counters are pinned under Dynamic") {
+    pin("random Dynamic", random(Dynamic()), Map(
+      "events" -> 668L, "evalOps" -> 12915L, "snapshots" -> 107L,
+      "sharedBursts" -> 41L, "totalBursts" -> 64L, "sharedGraphlets" -> 41L, "graphlets" -> 268L,
+      "decisions" -> 64L, "plansExamined" -> 178L, "peakLiveTerms" -> 3L, "peakBytes" -> 78128L))
+  }
+
+  test("random-workload counters are pinned under AlwaysShare") {
+    pin("random AlwaysShare", random(AlwaysShare), Map(
+      "events" -> 668L, "evalOps" -> 11772L, "snapshots" -> 224L,
+      "sharedBursts" -> 64L, "totalBursts" -> 64L, "sharedGraphlets" -> 64L, "graphlets" -> 198L,
+      "decisions" -> 64L, "plansExamined" -> 64L, "peakLiveTerms" -> 3L, "peakBytes" -> 64536L))
+  }
+
+  test("random-workload counters are pinned under NeverShare") {
+    pin("random NeverShare", random(NeverShare), Map(
+      "events" -> 668L, "evalOps" -> 16681L, "snapshots" -> 0L,
+      "sharedBursts" -> 0L, "totalBursts" -> 64L, "sharedGraphlets" -> 0L, "graphlets" -> 428L,
+      "decisions" -> 64L, "plansExamined" -> 64L, "peakLiveTerms" -> 0L, "peakBytes" -> 94208L))
+  }
+
+  test("Greta baseline counters are pinned (its walk visits what NeverShare visits)") {
+    val s = summed(stockUnits.map { case (_, evs) =>
+      (m: Metrics) => GretaEngine.processPane(stockWl.queries, evs, m): Unit })
+    assert((s.events, s.evalOps, s.peakBytes) == ((14580L, 1088316L, 87336L)))
+    val r = summed(randomCases.map { case (qs, evs) => (m: Metrics) => Engines.greta(qs, evs, m): Unit })
+    assert((r.events, r.evalOps, r.peakBytes) == ((2174L, 16681L, 25984L)))
+  }
+}

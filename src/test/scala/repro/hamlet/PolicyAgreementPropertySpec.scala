@@ -1,0 +1,92 @@
+package repro.hamlet
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalatest.funsuite.AnyFunSuite
+
+import scala.util.Random
+
+import repro.events.Event
+import repro.query._
+import repro.testkit.{Engines, TestGen}
+
+/** Property: the sharing policy changes the cost, never the result. On
+  * random workloads (Kleene shapes, trailing and mid-pattern negation,
+  * predicate thresholds, edge predicates, aggregates) and random streams,
+  * `NeverShare`, `AlwaysShare` and `Dynamic()` agree on every `PaneAgg`
+  * channel, and on tiny inputs all three agree with the brute-force
+  * enumerator.
+  */
+class PolicyAgreementPropertySpec extends AnyFunSuite {
+
+  private val shapes: Vector[(Pattern, Boolean)] = Vector( // (pattern, has mid-pattern negation)
+    Pattern.seq("A", "B+") -> false,
+    Pattern.seq("C", "B+") -> false,
+    Pattern.seq("A", "B+", "C") -> false,
+    Pattern.seq("B+") -> false,
+    Pattern.seq("B+", "D") -> false,
+    PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B"))))) -> false,
+    Pattern.seq("A", "B+", "!D") -> false,
+    Pattern.seq("C", "B+", "!A") -> false,
+    Pattern.seq("A", "!C", "B+") -> true,
+    Pattern.seq("A", "B+", "!C", "D") -> true,
+  )
+
+  private val aggs: Vector[Agg] = Vector(Agg.CountStar, Agg.CountE("B"), Agg.Sum("B", "v"),
+    Agg.Avg("B", "v"), Agg.Min("B", "v"), Agg.Max("B", "v"))
+
+  private val rising = (a: Event, b: Event) => b.num.getOrElse("v", 0.0) >= a.num.getOrElse("v", 0.0)
+
+  private def queryGen(id: String): Gen[TrendQuery] =
+    for {
+      (pattern, midNeg) <- Gen.oneOf(shapes)
+      agg <- Gen.oneOf(if (midNeg) aggs.take(4) else aggs) // MIN/MAX + mid negation is rejected
+      // Mostly COUNT(*) so that sets form; the rest mixes the other classes.
+      agg2 <- Gen.frequency(3 -> Agg.CountStar, 2 -> agg)
+      bPred <- Gen.option(Gen.zip(Gen.oneOf(">", "<=", "!="), Gen.choose(0, 99)))
+      aPred <- Gen.option(Gen.choose(0, 99))
+      edge <- Gen.frequency(4 -> false, 1 -> true)
+    } yield TrendQuery(id, pattern, agg2,
+      preds = bPred.map { case (op, t) => NumPred("B", "v", op, t.toDouble) }.toSeq ++
+        aPred.map(t => NumPred("A", "v", ">", t.toDouble)).toSeq,
+      window = QueryWindow(4, 2),
+      edgePred = if (edge) Some(rising) else None)
+
+  private def caseGen(maxEvents: Int): Gen[(Vector[TrendQuery], Vector[Event])] =
+    for {
+      k <- Gen.choose(2, 5)
+      qs <- Gen.sequence[Vector[TrendQuery], TrendQuery]((0 until k).map(i => queryGen(s"q$i")))
+      n <- Gen.choose(1, maxEvents)
+      seed <- Gen.long
+      burstiness <- Gen.oneOf(0.3, 0.6, 0.9)
+    } yield (qs, TestGen.stream(new Random(seed), n, burstiness = burstiness))
+
+  private val policies = Seq("never" -> NeverShare, "always" -> AlwaysShare, "dynamic" -> Dynamic())
+
+  private def check(prop: Prop, runs: Int): Unit = {
+    val res = Test.check(
+      Test.Parameters.default.withMinSuccessfulTests(runs).withInitialSeed(Seed(20210620L)), prop)
+    assert(res.passed, Pretty.pretty(res, Pretty.Params(2)))
+  }
+
+  test("every policy gives the same channels (c, n, s, mn, mx)") {
+    check(Prop.forAll(caseGen(40)) { case (qs, events) =>
+      val never = Engines.hamlet(qs, events, NeverShare)
+      policies.tail.foreach { case (name, p) =>
+        Engines.assertSame(Engines.hamlet(qs, events, p), never, s"$name vs never, $qs")
+      }
+      true
+    }, runs = 300)
+  }
+
+  test("on tiny inputs every policy equals brute force") {
+    check(Prop.forAll(caseGen(12)) { case (qs, events) =>
+      val expected = Engines.brute(qs, events)
+      policies.foreach { case (name, p) =>
+        Engines.assertSame(Engines.hamlet(qs, events, p), expected, s"$name vs brute force, $qs")
+      }
+      true
+    }, runs = 300)
+  }
+}

@@ -20,20 +20,29 @@ class SharingOptimizerSpec extends AnyFunSuite {
 
   private val noPreds = Seq(Nil, Nil, Nil, Nil)
 
+  /** Evaluate the burst's predicates once, then decide. */
+  private def decide(policy: SharingPolicy, burst: IndexedSeq[Event], qs: Vector[CompiledQuery],
+                     typ: String, eventsSoFar: Long): Decision = {
+    val tid = qs.head.types.of(typ)
+    val matches = new MatchVector(qs.size)
+    matches.fill(qs, tid, burst.size)(burst)
+    SharingOptimizer.decide(policy, qs, tid, matches, eventsSoFar)
+  }
+
   test("NeverShare never shares") {
-    val d = SharingOptimizer.decide(NeverShare, (0 until 10).map(i => ev(i.toLong, 50)),
+    val d = decide(NeverShare, (0 until 10).map(i => ev(i.toLong, 50)),
       queries(noPreds), "B", eventsSoFar = 5)
     assert(!d.share && d.sharedIdx.isEmpty)
   }
 
   test("AlwaysShare shares the full set unconditionally") {
-    val d = SharingOptimizer.decide(AlwaysShare, (0 until 10).map(i => ev(i.toLong, 50)),
+    val d = decide(AlwaysShare, (0 until 10).map(i => ev(i.toLong, 50)),
       queries(noPreds), "B", eventsSoFar = 5)
     assert(d.share && d.sharedIdx == Vector(0, 1, 2, 3))
   }
 
   test("Dynamic shares a clean burst (no divergence, k=4)") {
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), (0 until 10).map(i => ev(i.toLong, 50)),
+    val d = decide(Dynamic(Eq8Model), (0 until 10).map(i => ev(i.toLong, 50)),
       queries(noPreds), "B", eventsSoFar = 20)
     assert(d.share)
     assert(d.sharedIdx.size == 4)
@@ -45,19 +54,19 @@ class SharingOptimizerSpec extends AnyFunSuite {
     // q3 diverges (threshold splits the burst), q0-q2 do not.
     val qs = queries(Seq(Nil, Nil, Nil, Seq(NumPred("B", "v", ">", 50))))
     val burst = (0 until 20).map(i => ev(i.toLong, if (i % 2 == 0) 80 else 20))
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), burst, qs, "B", eventsSoFar = 20)
+    val d = decide(Dynamic(Eq8Model), burst, qs, "B", eventsSoFar = 20)
     assert(Set(0, 1, 2).subsetOf(d.sharedIdx.toSet))
     assert(d.plansExamined == 2) // m = 1
   }
 
   test("burst statistics feed the model (b, n, g)") {
     val burst = (0 until 16).map(i => ev(i.toLong, 50))
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), burst, queries(noPreds), "B", eventsSoFar = 100)
+    val d = decide(Dynamic(Eq8Model), burst, queries(noPreds), "B", eventsSoFar = 100)
     assert(d.stats.b == 16 && d.stats.g == 16 && d.stats.n == 116)
   }
 
   test("predecessor-type and type counts come from the templates") {
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), (0 until 4).map(i => ev(i.toLong, 50)),
+    val d = decide(Dynamic(Eq8Model), (0 until 4).map(i => ev(i.toLong, 50)),
       queries(noPreds), "B", eventsSoFar = 0)
     assert(d.stats.p == 2.0) // pt(B) = {A, B}
     assert(d.stats.t == 2.0) // types {A, B}
@@ -68,13 +77,13 @@ class SharingOptimizerSpec extends AnyFunSuite {
     // Shared ≫ NonShared for the Eq7 model with small n.
     val qs = queries(Seq(Seq(NumPred("B", "v", ">", 50)), Seq(NumPred("B", "v", "<=", 50))))
     val burst = (0 until 30).map(i => ev(i.toLong, if (i % 2 == 0) 80 else 20))
-    val d = SharingOptimizer.decide(Dynamic(Eq7Model), burst, qs, "B", eventsSoFar = 0)
+    val d = decide(Dynamic(Eq7Model), burst, qs, "B", eventsSoFar = 0)
     assert(!d.share || d.benefit <= 0 || d.sharedIdx.size < 2)
   }
 
   test("a single query never shares") {
     val qs = queries(Seq(Nil)).take(1)
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), (0 until 8).map(i => ev(i.toLong, 50)),
+    val d = decide(Dynamic(Eq8Model), (0 until 8).map(i => ev(i.toLong, 50)),
       qs, "B", eventsSoFar = 0)
     assert(!d.share)
   }
@@ -82,7 +91,7 @@ class SharingOptimizerSpec extends AnyFunSuite {
   test("sampling caps the divergence scan on long bursts") {
     val burst = (0 until 10_000).map(i => ev(i.toLong, 50))
     val t0 = System.nanoTime()
-    val d = SharingOptimizer.decide(Dynamic(Eq8Model), burst, queries(noPreds), "B", 0)
+    val d = decide(Dynamic(Eq8Model), burst, queries(noPreds), "B", 0)
     val ms = (System.nanoTime() - t0) / 1e6
     assert(d.share)
     assert(ms < 200.0, s"decision took $ms ms") // light-weight (§4.2)

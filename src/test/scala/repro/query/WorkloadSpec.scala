@@ -102,4 +102,39 @@ class WorkloadSpec extends AnyFunSuite {
     assert(Workload.channelsOf(Agg.Avg("B", "v")) == Seq("C", "N", "S:v"))
     assert(Workload.channelsOf(Agg.Min("B", "v")) == Seq("C"))
   }
+
+  test("an unknown comparison op is rejected when the predicate is built") {
+    val e = intercept[IllegalArgumentException](NumPred("B", "v", "=>", 1.0))
+    assert(e.getMessage.contains("=>"))
+    NumPred.Ops.foreach(op => NumPred("B", "v", op, 1.0))
+  }
+
+  test("MIN/MAX with mid-pattern negation is rejected when the workload compiles") {
+    Seq(Agg.Min("B", "v"), Agg.Max("B", "v")).foreach { agg =>
+      val e = intercept[IllegalArgumentException](Workload.compile(Seq(
+        q("ok", Pattern.seq("A", "B+")),
+        q("mm", Pattern.seq("A", "!C", "B+"), agg))))
+      assert(e.getMessage.contains("mm: MIN/MAX with mid-pattern negation"))
+    }
+    // Trailing negation and mid-pattern negation under other aggregates stay supported.
+    Workload.compile(Seq(q("mm", Pattern.seq("A", "B+", "!C"), Agg.Max("B", "v"))))
+    Workload.compile(Seq(q("s", Pattern.seq("A", "!C", "B+"), Agg.Sum("B", "v"))))
+  }
+
+  test("type ids, type masks and predecessor masks are resolved at compile time") {
+    val wl = Workload.compile(Seq(
+      q("q1", Pattern.seq("A", "B+")),
+      q("q2", Pattern.seq("C", "!D", "B+"))))
+    val ids = wl.types
+    assert(ids.names == Vector("A", "B", "C", "D"))
+    assert(ids.of("Z") == -1)
+    val q1 = wl.byId("q1")
+    val q2 = wl.byId("q2")
+    assert(q1.predMask(ids.of("B")) == ids.mask(Set("A", "B")))
+    assert(q1.predMask(ids.of("A")) == 0L)
+    assert(q2.universeMask == ids.mask(Set("B", "C", "D")))
+    assert(q2.startMask == ids.mask(Set("C")) && q2.endMask == ids.mask(Set("B")))
+    assert(q2.negTid.toSeq == Seq(ids.of("D")))
+    assert(q2.negFrom.toSeq == Seq(ids.mask(Set("C"))) && q2.negTo.toSeq == Seq(ids.mask(Set("B"))))
+  }
 }
