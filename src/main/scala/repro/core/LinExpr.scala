@@ -54,17 +54,7 @@ final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[
     acc
   }
 
-  override def equals(o: Any): Boolean = o match {
-    case e: LinExpr =>
-      const == e.const && java.util.Arrays.equals(keys, e.keyArray) && java.util.Arrays.equals(coefs, e.coefArray)
-    case _ => false
-  }
-  override def hashCode: Int =
-    (const.##, java.util.Arrays.hashCode(keys), java.util.Arrays.hashCode(coefs)).##
   override def toString: String = s"LinExpr($const, $terms)"
-
-  private def keyArray: Array[Long]    = keys
-  private def coefArray: Array[Double] = coefs
 }
 
 object LinExpr {
@@ -72,11 +62,6 @@ object LinExpr {
   private val NoCoefs = new Array[Double](0)
 
   val zero: LinExpr = new LinExpr(0.0, NoKeys, NoCoefs)
-
-  def apply(const: Double, terms: Map[Long, Double]): LinExpr = {
-    val ks = terms.keys.toArray.sorted
-    new LinExpr(const, ks, ks.map(terms))
-  }
 
   /** Expression that is exactly one snapshot channel. */
   def ofSnap(snapId: Long, chIdx: Int): LinExpr =
