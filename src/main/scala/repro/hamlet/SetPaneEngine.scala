@@ -324,7 +324,6 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         st.addCum(st.cumAll, sharedTid, v)
       }
     }
-    java.util.Arrays.fill(shExprs.asInstanceOf[Array[AnyRef]], 0, shCount * nCh, null)
     shActive = false
     shCount = 0
     shTerms = 0L
