@@ -107,8 +107,7 @@ object McepEngine {
         val spec = channels(ch)
         var acc = 0.0
         trend.foreach { i =>
-          if (spec.injType.contains(evs(i).typ))
-            acc += spec.attr.map(a => evs(i).num.getOrElse(a, 0.0)).getOrElse(1.0)
+          if (spec.injType.contains(evs(i).typ)) acc += spec.injection(evs(i))
         }
         finals(qi)(ch) += acc
         ch += 1
@@ -175,17 +174,7 @@ object McepEngine {
     metrics.observeBytes(n.toLong * 48 + peakDepth.toLong * 16 + k.toLong * nCh * 8)
 
     val aggs = queries.zipWithIndex.map { case (q, qi) =>
-      val nIdx = channels.indexWhere(_.name == "N")
-      val sIdx = q.q.agg match {
-        case repro.query.Agg.Sum(_, a) => channels.indexWhere(_.name == s"S:$a")
-        case repro.query.Agg.Avg(_, a) => channels.indexWhere(_.name == s"S:$a")
-        case _                         => -1
-      }
-      q.id -> PaneAgg(
-        c = finals(qi)(0),
-        n = if (nIdx >= 0) finals(qi)(nIdx) else 0.0,
-        s = if (sIdx >= 0) finals(qi)(sIdx) else 0.0,
-        mn = finMin(qi), mx = finMax(qi))
+      q.id -> ChannelSpec.reader(channels, q.q.agg).read(finals(qi), finMin(qi), finMax(qi))
     }.toMap
     Out(aggs, truncated)
   }

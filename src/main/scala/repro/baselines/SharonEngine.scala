@@ -95,10 +95,7 @@ object SharonEngine {
                 var ch = 1
                 while (ch < nCh) {
                   val spec = channels(ch)
-                  val inj =
-                    if (spec.injType.contains(ev.typ))
-                      spec.attr.map(a => ev.num.getOrElse(a, 0.0)).getOrElse(1.0)
-                    else 0.0
+                  val inj = if (spec.injType.contains(ev.typ)) spec.injection(ev) else 0.0
                   chans(j)(ch - 1)(i) += chans(j)(ch - 1)(i - 1) + inj * add
                   ch += 1
                 }
@@ -141,25 +138,15 @@ object SharonEngine {
         metrics.events += 1
       }
 
-      var c = 0.0
       val chTot = new Array[Double](nCh)
       for (j <- 0 until L) {
-        c += cnt(j)(lens(j))
+        chTot(0) += cnt(j)(lens(j))
         var ch = 1
         while (ch < nCh) { chTot(ch) += chans(j)(ch - 1)(lens(j)); ch += 1 }
       }
-      val nIdx = channels.indexWhere(_.name == "N")
-      val sIdx = cq.q.agg match {
-        case repro.query.Agg.Sum(_, a) => channels.indexWhere(_.name == s"S:$a")
-        case repro.query.Agg.Avg(_, a) => channels.indexWhere(_.name == s"S:$a")
-        case _                         => -1
-      }
       metrics.observeBytes(lens.map(l => (l + 1).toLong * nCh * 8).sum)
-      out += cq.id -> PaneAgg(
-        c = c,
-        n = if (nIdx >= 0) chTot(nIdx) else 0.0,
-        s = if (sIdx >= 0) chTot(sIdx) else 0.0,
-        mn = Double.PositiveInfinity, mx = Double.NegativeInfinity)
+      out += cq.id -> ChannelSpec.reader(channels, cq.q.agg)
+        .read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
     }
     metrics.wallNanos += System.nanoTime() - t0
     Out(out.result(), truncated)

@@ -4,39 +4,67 @@ import repro.core.PaneAgg
 import repro.events.Event
 import repro.query.{Agg, CompiledQuery, TypeIds}
 
-/** One aggregate channel carried by an engine.
-  *
-  * @param name    "C" (trend count), "N" (event count), or "S:attr"
-  * @param injType event type whose events inject into this channel
-  *                (None for "C" — every event's own count injects there)
-  * @param attr    attribute summed by an "S:attr" channel
+/** One aggregate channel carried by an engine: the trend count, the count
+  * of one type's events over all trends, or the sum of one attribute of one
+  * type's events over all trends.
   */
-final case class ChannelSpec(name: String, injType: Option[String], attr: Option[String])
-    extends Serializable
+sealed trait ChannelSpec extends Serializable {
+  /** Event type whose events inject into this channel (None for the trend
+    * count: every event's own count injects there).
+    */
+  def injType: Option[String]
+  /** What an event of the injection type adds per unit of its own count. */
+  def injection(e: Event): Double
+}
 
 object ChannelSpec {
 
-  private def specsOf(a: Agg): Seq[ChannelSpec] = a match {
+  /** COUNT(*): channel 0 of every layout. */
+  case object TrendCount extends ChannelSpec {
+    def injType: Option[String] = None
+    def injection(e: Event): Double = 1.0
+  }
+
+  /** COUNT(typ), and the denominator of AVG. */
+  final case class EventCount(typ: String) extends ChannelSpec {
+    def injType: Option[String] = Some(typ)
+    def injection(e: Event): Double = 1.0
+  }
+
+  /** SUM(typ.attr), and the numerator of AVG. */
+  final case class AttrSum(typ: String, attr: String) extends ChannelSpec {
+    def injType: Option[String] = Some(typ)
+    def injection(e: Event): Double = e.num.getOrElse(attr, 0.0)
+  }
+
+  /** Channels an aggregate needs besides the trend count. */
+  private def of(a: Agg): Seq[ChannelSpec] = a match {
     case Agg.CountStar     => Nil
-    case Agg.CountE(t)     => Seq(ChannelSpec("N", Some(t), None))
-    case Agg.Sum(t, at)    => Seq(ChannelSpec(s"S:$at", Some(t), Some(at)))
-    case Agg.Avg(t, at)    => Seq(ChannelSpec("N", Some(t), None), ChannelSpec(s"S:$at", Some(t), Some(at)))
+    case Agg.CountE(t)     => Seq(EventCount(t))
+    case Agg.Sum(t, at)    => Seq(AttrSum(t, at))
+    case Agg.Avg(t, at)    => Seq(EventCount(t), AttrSum(t, at))
     case Agg.Min(_, _) | Agg.Max(_, _) => Nil // tracked by dedicated min/max scalars
   }
 
-  /** Channel layout for a set of queries executed by one engine: "C" first,
-    * then the union of the members' channels. Within a sharable set the
-    * injection types agree by construction (Agg.shareClass pins the type).
-    */
-  def forQueries(qs: Seq[CompiledQuery]): Vector[ChannelSpec] = {
-    val extra = qs.flatMap(q => specsOf(q.q.agg)).distinct
-    val byName = extra.groupBy(_.name)
-    byName.foreach { case (n, ss) =>
-      require(ss.map(_.injType).distinct.size == 1,
-        s"conflicting injection types for channel $n: $ss")
-    }
-    (ChannelSpec("C", None, None) +: byName.values.map(_.head).toVector.sortBy(_.name))
+  private def order(c: ChannelSpec): (Int, String, String) = c match {
+    case TrendCount       => (0, "", "")
+    case EventCount(t)    => (1, t, "")
+    case AttrSum(t, attr) => (2, attr, t)
   }
+
+  /** Channel layout for a set of queries executed by one engine: the trend
+    * count first, then the union of the members' channels.
+    */
+  def forQueries(qs: Seq[CompiledQuery]): Vector[ChannelSpec] =
+    TrendCount +: qs.flatMap(q => of(q.q.agg)).distinct.sortBy(order).toVector
+
+  /** Where aggregate `a` sits in an accumulator laid out as `specs`. */
+  def reader(specs: Seq[ChannelSpec], a: Agg): AggReader =
+    of(a).foldLeft(AggReader(-1, -1)) {
+      case (r, c: EventCount) => r.copy(nIdx = specs.indexOf(c))
+      case (r, c: AttrSum)    => r.copy(sIdx = specs.indexOf(c))
+      case (r, TrendCount)    => r
+    }
 }
 
 /** The channel layout of a set of queries resolved against the workload's
@@ -47,11 +75,10 @@ final class ChannelLayout(qs: Seq[CompiledQuery], types: TypeIds) extends Serial
   val specs: Vector[ChannelSpec] = ChannelSpec.forQueries(qs)
   val size: Int = specs.size
   val injTid: Array[Int] = specs.map(_.injType.fold(-1)(types.of)).toArray
-  private val injAttr: Array[String] = specs.map(_.attr.orNull).toArray
+  private val specArr: Array[ChannelSpec] = specs.toArray
 
   /** What event `e` injects into channel `ch`, per unit of its own count. */
-  def injection(e: Event, ch: Int): Double =
-    if (injAttr(ch) == null) 1.0 else e.num.getOrElse(injAttr(ch), 0.0)
+  def injection(e: Event, ch: Int): Double = specArr(ch).injection(e)
 
   /** Add `e`'s injections to the channels of `v`, whose channel 0 holds
     * the event's trend count.
@@ -65,15 +92,7 @@ final class ChannelLayout(qs: Seq[CompiledQuery], types: TypeIds) extends Serial
   }
 
   /** Where query `cq`'s aggregate sits in a channel accumulator. */
-  def reader(cq: CompiledQuery): AggReader = {
-    def at(name: String) = specs.indexWhere(_.name == name)
-    cq.q.agg match {
-      case Agg.CountE(_) => AggReader(at("N"), -1)
-      case Agg.Sum(_, a) => AggReader(-1, at(s"S:$a"))
-      case Agg.Avg(_, a) => AggReader(at("N"), at(s"S:$a"))
-      case _             => AggReader(-1, -1)
-    }
-  }
+  def reader(cq: CompiledQuery): AggReader = ChannelSpec.reader(specs, cq.q.agg)
 }
 
 /** Channel indices of a query's event count and attribute sum (-1 when its

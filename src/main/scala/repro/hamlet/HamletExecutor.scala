@@ -10,7 +10,8 @@ import repro.query.{CompiledQuery, CompiledWorkload}
   * plus one per singleton query (always non-shared). Events are processed
   * once per set — the sharing across queries *within* a set is the paper's
   * contribution; sharing across sets does not arise because sets share no
-  * Kleene sub-pattern (Definition 5).
+  * Kleene sub-pattern (Definition 5). With no sets and every query a
+  * singleton this is the Greta baseline ([[GretaEngine]]).
   */
 final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends Serializable {
 
@@ -21,14 +22,21 @@ final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends 
     wl.sets.map(set => (new EnginePlan(set.queries, Some(set.sharedType)), policy)) ++
       wl.singletons.map(q => (new EnginePlan(Vector(q), None), NeverShare))
 
-  /** Per-query aggregates for one pane of one group. */
-  def processPaneAggs(events: Seq[Event], metrics: Metrics): Map[String, PaneAgg] = {
+  /** Hands each query's aggregate for one pane of one group to `emit`. */
+  def foreachAgg(events: Seq[Event], metrics: Metrics)(emit: (CompiledQuery, PaneAgg) => Unit): Unit = {
     val evs = events.toArray
     val tids = evs.map(e => wl.types.of(e.typ))
-    val out = Map.newBuilder[String, PaneAgg]
     plans.foreach { case (plan, pol) =>
-      out ++= new SetPaneEngine(plan, pol, metrics).processPane(evs, tids)
+      val aggs = new SetPaneEngine(plan, pol, metrics).processPane(evs, tids)
+      var i = 0
+      while (i < aggs.length) { emit(plan.queries(i), aggs(i)); i += 1 }
     }
+  }
+
+  /** Per-query aggregates for one pane of one group. */
+  def processPaneAggs(events: Seq[Event], metrics: Metrics): Map[String, PaneAgg] = {
+    val out = Map.newBuilder[String, PaneAgg]
+    foreachAgg(events, metrics)((q, agg) => out += q.id -> agg)
     out.result()
   }
 
@@ -39,14 +47,13 @@ final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends 
     }
 }
 
-/** The Greta baseline [33] (§3.2): every query runs independently on its
-  * own event graph ([[repro.greta.GretaGraph]], the published O(n) per
-  * event propagation). No sharing across queries — each query
-  * re-processes every event — and no pane sharing across overlapping
-  * windows: the bench harness re-processes each pane once per window
-  * instance per query.
+/** The Greta baseline [33] (§3.2): every query runs alone on its own
+  * non-shared engine, each event walking all stored predecessors (the
+  * published O(n) per-event propagation). No sharing across queries — each
+  * query re-processes every event — and no pane sharing across overlapping
+  * windows: the bench harness replays each pane once per window instance.
   */
 object GretaEngine {
-  def processPane(queries: Seq[CompiledQuery], events: Seq[Event], metrics: Metrics): Map[String, PaneAgg] =
-    queries.map(q => q.id -> repro.greta.GretaGraph.processPane(q, events, metrics)).toMap
+  def apply(wl: CompiledWorkload): HamletExecutor =
+    new HamletExecutor(wl.copy(sets = Vector.empty, singletons = wl.queries), NeverShare)
 }

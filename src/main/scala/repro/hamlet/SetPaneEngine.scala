@@ -60,6 +60,12 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private val queries = plan.queries
   private val nCh = layout.size
   private val ChC = 0
+  /** Whether the plan has a sharable type. Without one no graphlet is ever
+    * shared or merged, so the state only they read is neither built nor
+    * maintained.
+    */
+  private val sharable = sharedTid >= 0
+  private def mergeTable(n: Int): Array[Double] = if (sharable) new Array[Double](n) else Array.emptyDoubleArray
 
   // ------------------------------------------------------------------
   // Per-query state (non-shared graph + shared-close sums + finals)
@@ -78,20 +84,20 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       * stand-in for those events in later walks ("snapshot replaced by its
       * value per query", §4.2). `cumSharedSet` marks the types written.
       */
-    val cumShared = new Array[Double](nT * nCh)
+    val cumShared = mergeTable(nT * nCh)
     var cumSharedSet = 0L
     /** Σ of this query's values over *all* processed events per type
       * (nodes + closed shared graphlets) — lets a merge price its
       * graphlet-level snapshot from aggregates instead of re-walking the
       * graph (§4.2: merge cost is linear, not quadratic).
       */
-    val cumAll = new Array[Double](nT * nCh)
+    val cumAll = mergeTable(nT * nCh)
     /** cum tables captured at the last matching mid-pattern negation, per
       * (barrier, type): the part blocked from crossing the barrier.
       * `blockedSet` counts the (barrier, type) entries written.
       */
-    val blocked = new Array[Double](nB * nT * nCh)
-    val blockedAll = new Array[Double](nB * nT * nCh)
+    val blocked = mergeTable(nB * nT * nCh)
+    val blockedAll = mergeTable(nB * nT * nCh)
     var blockedSet = 0
     private val blockedSetMask = new Array[Long](nB)
 
@@ -127,20 +133,23 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         m &= m - 1
         val o = (b * nT + T) * nCh
         if (!TypeIds.has(blockedSetMask(b), T)) { blockedSetMask(b) |= 1L << T; blockedSet += 1 }
-        System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
-        System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
+        if (sharable) {
+          System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
+          System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
+        }
       }
     }
     /** Predecessor input of a new event `e` of type `tid` into `out`: the
       * faithful walk over stored nodes plus the aggregate shared-close
       * sums. Edge-pred queries skip the shared sums of their Kleene type —
-      * those events are materialized in `nodes` instead.
+      * those events are materialized in `nodes` instead. Types with no
+      * shared-close sum are skipped: their terms (and blocked parts) are 0.
       */
     def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
       java.util.Arrays.fill(out, 0.0)
       val pm = cq.predMask(tid)
       nodes.walk(e, tid, pm, out, metrics) // O(n): the published NS cost
-      var m = pm
+      var m = pm & cumSharedSet
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
@@ -158,7 +167,13 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     var lastNSTid = -1
   }
 
-  private val qs: Array[QState] = queries.map(new QState(_)).toArray
+  // Built per (group, pane), so without a reflective ClassTag.
+  private val qs: Array[QState] = {
+    val a = new Array[QState](k)
+    var i = 0
+    while (i < k) { a(i) = new QState(queries(i)); i += 1 }
+    a
+  }
   private val scratch = new Array[Double](nCh)
 
   /** Non-shared processing of one matched event (Equations 1–3). */
@@ -175,7 +190,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     }
     if (v(ChC) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
     st.nodes.append(e, tid, v, mn, mx)
-    st.addCum(st.cumAll, tid, v)
+    if (sharable) st.addCum(st.cumAll, tid, v)
     if (TypeIds.has(st.cq.endMask, tid)) {
       var ch = 0
       while (ch < nCh) { st.finalAcc(ch) += v(ch); ch += 1 }
@@ -194,17 +209,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private var shStartUniform = true
   private var shInput: Array[LinExpr] = _
   /** Expressions of the graphlet's stored events, `nCh` per event. */
-  private var shExprs = new Array[LinExpr](64 * nCh)
+  private var shExprs = if (sharable) new Array[LinExpr](64 * nCh) else null
   private var shCount = 0
   /** Σ over stored events and channels of the expression sizes. */
   private var shTerms = 0L
-  private val sumBuilder = new LinExpr.Builder
+  private val sumBuilder = if (sharable) new LinExpr.Builder else null
 
   /** Snapshot table S of the open graphlet: snapshot id `shSnapBase + s`
     * → per query → per channel value, at `(s * k + q) * nCh + ch`.
     * Snapshot ids are dense within a graphlet.
     */
-  private var snapVals = new Array[Double](8 * k * nCh)
+  private var snapVals = mergeTable(8 * k * nCh)
   private var shSnapBase = 0L
   private var nextSnap = 0L
 
@@ -414,9 +429,12 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   /** Rough state-size model (paper's peak-memory metric; see Metrics). */
   private def currentBytes: Long = {
     var b = 0L
-    qs.foreach { st =>
+    var i = 0
+    while (i < k) {
+      val st = qs(i)
       b += (java.lang.Long.bitCount(st.cumSharedSet) + st.blockedSet).toLong * nCh * 8 + nCh * 8L
       b += st.nodes.size.toLong * (48L + nCh * 8L)
+      i += 1
     }
     b += shCount * 48L + shTerms * 16L
     b += liveSnaps.toLong * k * nCh * 8L
@@ -491,15 +509,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         bi += 1
       }
     }
-    metrics.observeBytes(currentBytes)
+    // Without shared graphlets the state only grows within a pane: its
+    // peak is observed when the pane ends.
+    if (sharable) metrics.observeBytes(currentBytes)
   }
 
   /** Process one pane's events (time-ordered; `tids(i)` is the workload
     * type id of `events(i)`, -1 for a type no query references) and return
-    * per-query aggregates. Events whose type no member references are
-    * ignored and do not end bursts.
+    * the aggregate of each query of the plan, in plan order. Events whose
+    * type no member references are ignored and do not end bursts.
     */
-  def processPane(events: Array[Event], tids: Array[Int]): Map[String, PaneAgg] = {
+  def processPane(events: Array[Event], tids: Array[Int]): Array[PaneAgg] = {
     val t0 = System.nanoTime()
     val sel = new Array[Int](events.length)
     var nSel = 0
@@ -520,9 +540,9 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     closeShared()
     metrics.observeBytes(currentBytes)
     metrics.wallNanos += System.nanoTime() - t0
-    qs.indices.iterator.map { i =>
-      val st = qs(i)
-      st.cq.id -> plan.readers(i).read(st.finalAcc, st.finalMin, st.finalMax)
-    }.toMap
+    val out = new Array[PaneAgg](k)
+    i = 0
+    while (i < k) { out(i) = plan.readers(i).read(qs(i).finalAcc, qs(i).finalMin, qs(i).finalMax); i += 1 }
+    out
   }
 }

@@ -3,6 +3,7 @@ package repro.harness
 import scala.collection.mutable
 
 import repro.baselines.{McepEngine, SharonEngine}
+import repro.core.PaneAgg
 import repro.events.Event
 import repro.hamlet.{GretaEngine, HamletExecutor, SharingPolicy}
 import repro.metrics.Metrics
@@ -13,8 +14,9 @@ import repro.query.CompiledWorkload
   * @param latencyMs  avg wall time to produce the results of one
   *                   (group, pane) unit — the paper's latency proxy
   *                   (processing time until the result can be emitted)
-  * @param checksum   Σ of final trend counts over all queries/groups/panes
-  *                   — must agree across engines on the same input
+  * @param total      every (query, group, pane) result combined with
+  *                   `PaneAgg.+` — must agree across engines on the same
+  *                   input, channel by channel
   */
 final case class RunResult(
     name: String,
@@ -24,7 +26,7 @@ final case class RunResult(
     peakBytes: Long,
     metrics: Metrics,
     truncated: Boolean,
-    checksum: Double,
+    total: PaneAgg,
 )
 
 /** Replays a stream through the engines with the orchestration each
@@ -50,13 +52,13 @@ object BenchHarness {
       .sortBy { case ((g, p), _) => (p, g) }
 
   private def result(name: String, wallNanos: Long, nEvents: Long, nUnits: Long,
-                     metrics: Metrics, truncated: Boolean, checksum: Double): RunResult = {
+                     metrics: Metrics, truncated: Boolean, total: PaneAgg): RunResult = {
     val wallMs = wallNanos / 1e6
     RunResult(name, wallMs,
       latencyMs = wallMs / math.max(nUnits, 1),
       throughputEps = nEvents / math.max(wallMs / 1000.0, 1e-9),
       peakBytes = metrics.peakBytes, metrics = metrics,
-      truncated = truncated, checksum = checksum)
+      truncated = truncated, total = total)
   }
 
   def runHamlet(wl: CompiledWorkload, policy: SharingPolicy, events: Seq[Event],
@@ -64,28 +66,27 @@ object BenchHarness {
     val metrics = new Metrics
     val parts = partition(events, wl.paneMs)
     val exec = new HamletExecutor(wl, policy)
-    var checksum = 0.0
+    var total = PaneAgg.empty
     val t0 = System.nanoTime()
-    parts.foreach { case (_, evs) =>
-      val aggs = exec.processPaneAggs(evs, metrics)
-      checksum += aggs.values.map(_.c).sum
-    }
+    parts.foreach { case (_, evs) => exec.foreachAgg(evs, metrics)((_, agg) => total += agg) }
     result(name, System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated = false, checksum)
+      metrics, truncated = false, total)
   }
 
   def runGreta(wl: CompiledWorkload, events: Seq[Event]): RunResult = {
     val metrics = new Metrics
     val parts = partition(events, wl.paneMs)
-    var checksum = 0.0
+    // One executor per count of overlapping window instances per pane;
+    // inside it every query still runs alone on its own engine.
+    val byReps = wl.queries.groupBy(q => q.windowPanes / q.slidePanes).toVector.sortBy(_._1)
+      .map { case (reps, qs) => (reps, GretaEngine(wl.copy(queries = qs))) }
+    var total = PaneAgg.empty
     val t0 = System.nanoTime()
     parts.foreach { case (_, evs) =>
-      wl.queries.foreach { q =>
-        val reps = q.windowPanes / q.slidePanes // overlapping window instances per pane
+      byReps.foreach { case (reps, exec) =>
         var r = 0
         while (r < reps) {
-          val aggs = GretaEngine.processPane(Seq(q), evs, metrics)
-          if (r == 0) checksum += aggs.values.map(_.c).sum
+          exec.foreachAgg(evs, metrics)((_, agg) => if (r == 0) total += agg)
           r += 1
         }
       }
@@ -95,13 +96,13 @@ object BenchHarness {
     // §3.2): scale the per-graph peak accordingly.
     metrics.peakBytes *= wl.queries.map(q => q.windowPanes / q.slidePanes).sum
     result("GRETA", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated = false, checksum)
+      metrics, truncated = false, total)
   }
 
   def runMcep(wl: CompiledWorkload, events: Seq[Event], maxVisits: Long = 20_000_000L): RunResult = {
     val metrics = new Metrics
     val parts = partition(events, wl.paneMs)
-    var checksum = 0.0
+    var total = PaneAgg.empty
     var truncated = false
     val reps = wl.queries.map(q => q.windowPanes / q.slidePanes).max
     val t0 = System.nanoTime()
@@ -110,12 +111,12 @@ object BenchHarness {
       while (r < reps) {
         val out = McepEngine.processPane(wl.queries, evs, metrics, maxVisits)
         truncated ||= out.truncated
-        if (r == 0) checksum += out.aggs.values.map(_.c).sum
+        if (r == 0) total = out.aggs.values.foldLeft(total)(_ + _)
         r += 1
       }
     }
     result("MCEP", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated, checksum)
+      metrics, truncated, total)
   }
 
   def runSharon(wl: CompiledWorkload, events: Seq[Event], maxLen: Int = 64): RunResult = {
@@ -127,7 +128,7 @@ object BenchHarness {
     val fixedLen = parts.iterator
       .map { case (_, evs) => kleeneTypes.map(t => evs.count(_.typ == t)).maxOption.getOrElse(0) }
       .maxOption.getOrElse(1)
-    var checksum = 0.0
+    var total = PaneAgg.empty
     var truncated = false
     val t0 = System.nanoTime()
     parts.foreach { case (_, evs) =>
@@ -137,7 +138,7 @@ object BenchHarness {
         while (r < reps) {
           val out = SharonEngine.processPane(Seq(q), evs, metrics, maxLen, Some(fixedLen))
           truncated ||= out.truncated
-          if (r == 0) checksum += out.aggs.values.map(_.c).sum
+          if (r == 0) total = out.aggs.values.foldLeft(total)(_ + _)
           r += 1
         }
       }
@@ -146,7 +147,7 @@ object BenchHarness {
     // prefix-count state concurrently.
     metrics.peakBytes *= wl.queries.map(q => q.windowPanes / q.slidePanes).sum
     result("SHARON", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated, checksum)
+      metrics, truncated, total)
   }
 
   /** Fixed-width table printer used by every bench/job. */

@@ -15,12 +15,12 @@ object Experiments {
 
   private def compile(qs: Seq[TrendQuery]): CompiledWorkload = Workload.compile(qs)
 
+  /** Untruncated runs of the same setting agree on every result channel. */
   def checkAgreement(rows: Seq[Row]): Unit =
     rows.groupBy(r => (r.dataset, r.evPerMin, r.k)).foreach { case (key, rs) =>
       val exact = rs.filterNot(_.res.truncated)
-      val sums = exact.map(_.res.checksum)
-      require(sums.forall(s => math.abs(s - sums.head) <= 1e-6 * math.max(1.0, math.abs(sums.head))),
-        s"engines disagree at $key: ${exact.map(r => r.res.name -> r.res.checksum)}")
+      require(exact.forall(_.res.total.agrees(exact.head.res.total)),
+        s"engines disagree at $key: ${exact.map(r => r.res.name -> r.res.total)}")
     }
 
   /** Figures 9/10: Hamlet vs MCEP vs Greta vs Sharon on Ridesharing

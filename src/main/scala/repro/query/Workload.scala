@@ -69,17 +69,8 @@ final case class CompiledQuery(
   *
   * @param sharedType the Kleene type E
   * @param queries    members Q_E (|Q_E| > 1)
-  * @param channels   aggregate channels the shared graphlets must carry
-  *                   ("C" trend count, "N" event count, "S:attr" sums)
   */
-final case class SharableSet(
-    sharedType: String,
-    queries: Vector[CompiledQuery],
-    channels: Vector[String],
-) {
-  /** Union of the member queries' type universes (burst boundaries). */
-  val typeUniverse: Set[String] = queries.flatMap(_.tpl.typeUniverse).toSet
-}
+final case class SharableSet(sharedType: String, queries: Vector[CompiledQuery])
 
 /** Compiled workload: sharable sets + queries processed alone. */
 final case class CompiledWorkload(
@@ -100,15 +91,6 @@ object Workload {
   /** Pane length = gcd of all window sizes and slides (in minutes). */
   def paneMinutes(qs: Seq[TrendQuery]): Int =
     qs.flatMap(q => Seq(q.window.windowMin, q.window.slideMin)).reduce(gcd)
-
-  /** Channels required to evaluate an aggregate online. */
-  def channelsOf(a: Agg): Seq[String] = a match {
-    case Agg.CountStar    => Seq("C")
-    case Agg.CountE(_)    => Seq("C", "N")
-    case Agg.Sum(_, at)   => Seq("C", s"S:$at")
-    case Agg.Avg(_, at)   => Seq("C", "N", s"S:$at")
-    case Agg.Min(_, _) | Agg.Max(_, _) => Seq("C")
-  }
 
   /** Compile a workload: templates, pane gcd, and sharable sets.
     *
@@ -144,10 +126,7 @@ object Workload {
         } yield (e, cls, cq.q.groupBy) -> cq
       }
       .groupMap(_._1)(_._2)
-      .collect { case ((e, _, _), members) if members.size > 1 =>
-        SharableSet(e, members,
-          members.flatMap(m => channelsOf(m.q.agg)).distinct.sorted)
-      }
+      .collect { case ((e, _, _), members) if members.size > 1 => SharableSet(e, members) }
       .toVector
       .sortBy(_.sharedType)
     val inSets = sharable.flatMap(_.queries.map(_.id)).toSet

@@ -10,7 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * paper's contribution is the broadcast side. Shuffle partitions default
+  * to twice the session's parallelism (the test inputs are tiny, so more
+  * partitions only add task overhead); SPARK_SHUFFLE_PARTITIONS overrides.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,16 +25,17 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    s.conf.set("spark.sql.shuffle.partitions",
+      sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", (2 * s.sparkContext.defaultParallelism).toString))
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
     )
     s
   }

@@ -104,10 +104,10 @@ class HamletCountersSpec extends AnyFunSuite {
   }
 
   test("Greta baseline counters are pinned (its walk visits what NeverShare visits)") {
-    val s = summed(stockUnits.map { case (_, evs) =>
-      (m: Metrics) => GretaEngine.processPane(stockWl.queries, evs, m): Unit })
-    assert((s.events, s.evalOps, s.peakBytes) == ((14580L, 1088316L, 87336L)))
+    val greta = GretaEngine(stockWl)
+    val s = summed(stockUnits.map { case (_, evs) => (m: Metrics) => greta.processPaneAggs(evs, m): Unit })
+    assert((s.events, s.evalOps, s.graphlets, s.peakBytes) == ((14580L, 1088316L, 524L, 87576L)))
     val r = summed(randomCases.map { case (qs, evs) => (m: Metrics) => Engines.greta(qs, evs, m): Unit })
-    assert((r.events, r.evalOps, r.peakBytes) == ((2174L, 16681L, 25984L)))
+    assert((r.events, r.evalOps, r.graphlets, r.peakBytes) == ((2174L, 16681L, 428L, 26176L)))
   }
 }

@@ -7,6 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
 
+import repro.core.PaneAgg
 import repro.events.Event
 import repro.query._
 import repro.testkit.{Engines, TestGen}
@@ -14,9 +15,9 @@ import repro.testkit.{Engines, TestGen}
 /** Property: the sharing policy changes the cost, never the result. On
   * random workloads (Kleene shapes, trailing and mid-pattern negation,
   * predicate thresholds, edge predicates, aggregates) and random streams,
-  * `NeverShare`, `AlwaysShare` and `Dynamic()` agree on every `PaneAgg`
-  * channel, and on tiny inputs all three agree with the brute-force
-  * enumerator.
+  * `NeverShare`, `AlwaysShare`, `Dynamic()` and the Greta baseline (every
+  * query alone on its own engine) agree on every `PaneAgg` channel, and on
+  * tiny inputs all four agree with the brute-force enumerator.
   */
 class PolicyAgreementPropertySpec extends AnyFunSuite {
 
@@ -62,7 +63,11 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
       burstiness <- Gen.oneOf(0.3, 0.6, 0.9)
     } yield (qs, TestGen.stream(new Random(seed), n, burstiness = burstiness))
 
-  private val policies = Seq("never" -> NeverShare, "always" -> AlwaysShare, "dynamic" -> Dynamic())
+  private val engines: Seq[(String, (Seq[TrendQuery], Seq[Event]) => Map[String, PaneAgg])] = Seq(
+    "never" -> (Engines.hamlet(_, _, NeverShare)),
+    "always" -> (Engines.hamlet(_, _, AlwaysShare)),
+    "dynamic" -> (Engines.hamlet(_, _, Dynamic())),
+    "greta" -> (Engines.greta(_, _)))
 
   private def check(prop: Prop, runs: Int): Unit = {
     val res = Test.check(
@@ -72,9 +77,9 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
 
   test("every policy gives the same channels (c, n, s, mn, mx)") {
     check(Prop.forAll(caseGen(40)) { case (qs, events) =>
-      val never = Engines.hamlet(qs, events, NeverShare)
-      policies.tail.foreach { case (name, p) =>
-        Engines.assertSame(Engines.hamlet(qs, events, p), never, s"$name vs never, $qs")
+      val never = engines.head._2(qs, events)
+      engines.tail.foreach { case (name, run) =>
+        Engines.assertSame(run(qs, events), never, s"$name vs never, $qs")
       }
       true
     }, runs = 300)
@@ -83,8 +88,8 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
   test("on tiny inputs every policy equals brute force") {
     check(Prop.forAll(caseGen(12)) { case (qs, events) =>
       val expected = Engines.brute(qs, events)
-      policies.foreach { case (name, p) =>
-        Engines.assertSame(Engines.hamlet(qs, events, p), expected, s"$name vs brute force, $qs")
+      engines.foreach { case (name, run) =>
+        Engines.assertSame(run(qs, events), expected, s"$name vs brute force, $qs")
       }
       true
     }, runs = 300)

@@ -33,9 +33,18 @@ class HarnessSpec extends AnyFunSuite {
     val s = BenchHarness.runSharon(wl, events, maxLen = 128)
     assert(!m.truncated && !s.truncated)
     for (r <- Seq(g, m, s))
-      assert(math.abs(r.checksum - h.checksum) <= 1e-6 * math.max(1.0, h.checksum),
-        s"${r.name}: ${r.checksum} vs ${h.checksum}")
-    assert(h.checksum > 0)
+      assert(r.total.agrees(h.total), s"${r.name}: ${r.total} vs ${h.total}")
+    assert(h.total.c > 0)
+  }
+
+  test("checkAgreement compares every channel, not only the trend count") {
+    val r = BenchHarness.runHamlet(wl, NeverShare, events.take(2000))
+    def rows(other: RunResult) = Seq(r, other).map(Experiments.Row("Ridesharing", 800, 8, _))
+    Experiments.checkAgreement(rows(r.copy(name = "same")))
+    val wrongSum = r.copy(name = "wrong-s", total = r.total.copy(s = r.total.s + 1.0))
+    intercept[IllegalArgumentException](Experiments.checkAgreement(rows(wrongSum)))
+    // A truncated run is not compared.
+    Experiments.checkAgreement(rows(wrongSum.copy(truncated = true)))
   }
 
   test("Hamlet does strictly less engine work than Greta (k× and window× sharing)") {
@@ -50,8 +59,9 @@ class HarnessSpec extends AnyFunSuite {
     val dyn = BenchHarness.runHamlet(wl2, Dynamic(), stock, "dyn")
     val sta = BenchHarness.runHamlet(wl2, AlwaysShare, stock, "sta")
     val nev = BenchHarness.runHamlet(wl2, NeverShare, stock, "nev")
-    assert(math.abs(dyn.checksum - sta.checksum) <= 1e-6 * math.max(1.0, sta.checksum))
-    assert(math.abs(dyn.checksum - nev.checksum) <= 1e-6 * math.max(1.0, nev.checksum))
+    assert(dyn.total.agrees(sta.total), s"${dyn.total} vs ${sta.total}")
+    assert(dyn.total.agrees(nev.total), s"${dyn.total} vs ${nev.total}")
+    assert(nev.total.s > 0 && nev.total.n > 0) // SUM and AVG queries are compared too
   }
 
   test("dynamic creates no more snapshots than static and shares most bursts") {

@@ -2,6 +2,9 @@ package repro.query
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.hamlet.{ChannelSpec, EnginePlan}
+import repro.hamlet.ChannelSpec.{AttrSum, EventCount, TrendCount}
+
 class WorkloadSpec extends AnyFunSuite {
 
   private def q(id: String, p: Pattern, agg: Agg = Agg.CountStar,
@@ -80,7 +83,8 @@ class WorkloadSpec extends AnyFunSuite {
       q("q3", Pattern.seq("A", "B+"), Agg.Sum("B", "v")),
       q("q4", Pattern.seq("C", "B+"), Agg.Avg("B", "w")),
       q("q5", Pattern.seq("C", "B+"), Agg.CountE("B"))))
-    assert(wl.sets.head.channels == Vector("C", "N", "S:v", "S:w"))
+    assert(ChannelSpec.forQueries(wl.sets.head.queries) ==
+      Vector(TrendCount, EventCount("B"), AttrSum("B", "v"), AttrSum("B", "w")))
   }
 
   test("duplicate query ids are rejected") {
@@ -92,15 +96,24 @@ class WorkloadSpec extends AnyFunSuite {
     val wl = Workload.compile(Seq(
       q("q1", PSeq(List(PEvent("A"), PKleene(PEvent("B")), PNot("P")))),
       q("q2", Pattern.seq("C", "B+"))))
-    assert(wl.sets.head.typeUniverse == Set("A", "B", "C", "P"))
+    val set = wl.sets.head
+    assert(new EnginePlan(set.queries, Some(set.sharedType)).universeMask ==
+      wl.types.mask(Set("A", "B", "C", "P")))
   }
 
-  test("channelsOf covers every aggregate") {
-    assert(Workload.channelsOf(Agg.CountStar) == Seq("C"))
-    assert(Workload.channelsOf(Agg.CountE("B")) == Seq("C", "N"))
-    assert(Workload.channelsOf(Agg.Sum("B", "v")) == Seq("C", "S:v"))
-    assert(Workload.channelsOf(Agg.Avg("B", "v")) == Seq("C", "N", "S:v"))
-    assert(Workload.channelsOf(Agg.Min("B", "v")) == Seq("C"))
+  test("channel layouts cover every aggregate") {
+    def channels(agg: Agg) =
+      ChannelSpec.forQueries(Workload.compile(Seq(q("a", Pattern.seq("A", "B+"), agg))).queries)
+    assert(channels(Agg.CountStar) == Vector(TrendCount))
+    assert(channels(Agg.CountE("B")) == Vector(TrendCount, EventCount("B")))
+    assert(channels(Agg.Sum("B", "v")) == Vector(TrendCount, AttrSum("B", "v")))
+    assert(channels(Agg.Avg("B", "v")) == Vector(TrendCount, EventCount("B"), AttrSum("B", "v")))
+    assert(channels(Agg.Min("B", "v")) == Vector(TrendCount))
+    // Counts of two types are two channels.
+    assert(ChannelSpec.forQueries(Workload.compile(Seq(
+      q("a", Pattern.seq("A", "B+"), Agg.CountE("B")),
+      q("b", Pattern.seq("A", "B+"), Agg.CountE("A")))).queries) ==
+      Vector(TrendCount, EventCount("A"), EventCount("B")))
   }
 
   test("an unknown comparison op is rejected when the predicate is built") {

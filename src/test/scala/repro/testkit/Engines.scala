@@ -20,7 +20,7 @@ object Engines {
 
   def greta(qs: Seq[TrendQuery], events: Seq[Event],
             metrics: Metrics = new Metrics): Map[String, PaneAgg] =
-    GretaEngine.processPane(compile(qs).queries, events, metrics)
+    GretaEngine(compile(qs)).processPaneAggs(events, metrics)
 
   def mcep(qs: Seq[TrendQuery], events: Seq[Event]): Map[String, PaneAgg] =
     McepEngine.processPane(compile(qs).queries, events, new Metrics).aggs
@@ -38,14 +38,6 @@ object Engines {
 
   def assertSame(a: Map[String, PaneAgg], b: Map[String, PaneAgg], hint: String = ""): Unit = {
     assert(a.keySet == b.keySet, s"$hint query sets differ")
-    a.keySet.foreach { q =>
-      val (x, y) = (a(q), b(q))
-      def close(u: Double, v: Double) =
-        (u.isInfinite && v.isInfinite && u == v) ||
-          math.abs(u - v) <= 1e-6 * math.max(1.0, math.max(math.abs(u), math.abs(v)))
-      assert(close(x.c, y.c) && close(x.n, y.n) && close(x.s, y.s) &&
-             close(x.mn, y.mn) && close(x.mx, y.mx),
-        s"$hint query $q: $x vs $y")
-    }
+    a.keySet.foreach(q => assert(a(q).agrees(b(q)), s"$hint query $q: ${a(q)} vs ${b(q)}"))
   }
 }
