@@ -83,6 +83,15 @@ object SharonEngine {
       evs.foreach { ev =>
         val isTrailNeg = cq.tpl.trailingNegs.contains(ev.typ) && cq.q.matches(ev)
         val isMidNeg = barriers.exists(_.negType == ev.typ) && cq.q.matches(ev)
+        // A pattern-final NOT resets before a same-type event ends new trends.
+        if (isTrailNeg) {
+          var j = 0
+          while (j < L) {
+            cnt(j)(lens(j)) = 0.0
+            var ch = 0; while (ch < nCh - 1) { chans(j)(ch)(lens(j)) = 0.0; ch += 1 }
+            j += 1
+          }
+        }
         if (cq.tpl.types.contains(ev.typ) && cq.q.matches(ev)) {
           var j = 0
           while (j < L) {
@@ -103,14 +112,6 @@ object SharonEngine {
               }
               i -= 1
             }
-            j += 1
-          }
-        }
-        if (isTrailNeg) {
-          var j = 0
-          while (j < L) {
-            cnt(j)(lens(j)) = 0.0
-            var ch = 0; while (ch < nCh - 1) { chans(j)(ch)(lens(j)) = 0.0; ch += 1 }
             j += 1
           }
         }

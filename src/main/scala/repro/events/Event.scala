@@ -23,3 +23,8 @@ final case class Event(
   /** Pane index for a given pane length (trends are pane-scoped). */
   def pane(paneMs: Long): Long = ts / paneMs
 }
+
+object Event {
+  /** Stream order: event time, then id. */
+  val streamOrder: Ordering[Event] = Ordering.by[Event, Long](_.ts).orElseBy(_.id)
+}

@@ -17,7 +17,7 @@ object StreamGen {
     "N07", "N08", "N09", "N10", "N11", "N12", "N13", "N14")
 
   private def finalize(buf: ArrayBuffer[Event]): Vector[Event] = {
-    val sorted = buf.sortBy(e => (e.ts, e.id)).toVector
+    val sorted = buf.sorted(Event.streamOrder).toVector
     sorted.zipWithIndex.map { case (e, i) => e.copy(id = i.toLong) }
   }
 

@@ -1,5 +1,7 @@
 package repro.hamlet
 
+import scala.collection.immutable.ArraySeq
+
 import repro.core.{PaneAgg, PaneResult}
 import repro.events.Event
 import repro.metrics.Metrics
@@ -40,11 +42,24 @@ final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends 
     out.result()
   }
 
-  /** Flat result rows for the Spark runners. */
-  def processPane(grp: String, pane: Long, events: Seq[Event], metrics: Metrics): Vector[PaneResult] =
-    processPaneAggs(events, metrics).toVector.sortBy(_._1).map {
-      case (qid, agg) => PaneResult.of(qid, grp, pane, agg)
+  /** The result rows of one group, for the Spark runners: `events` are the
+    * group's events in stream order ([[Event.streamOrder]]), cut into panes
+    * in one linear scan.
+    */
+  def groupResults(grp: String, events: Array[Event], metrics: Metrics): Vector[PaneResult] = {
+    val out = Vector.newBuilder[PaneResult]
+    var from = 0
+    while (from < events.length) {
+      val pane = events(from).pane(wl.paneMs)
+      var until = from + 1
+      while (until < events.length && events(until).pane(wl.paneMs) == pane) until += 1
+      foreachAgg(ArraySeq.unsafeWrapArray(events).slice(from, until), metrics) { (q, agg) =>
+        out += PaneResult.of(q.id, grp, pane, agg)
+      }
+      from = until
     }
+    out.result()
+  }
 }
 
 /** The Greta baseline [33] (§3.2): every query runs alone on its own

@@ -199,11 +199,29 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     }
   }
 
+  /** One matched event for a query outside the open graphlet: a
+    * pattern-final NOT first invalidates the trends ended so far (so a
+    * same-type event then ends new ones), then the non-shared step, then
+    * the mid-pattern barriers the event raises.
+    */
+  private def processAlone(st: QState, e: Event, tid: Int): Unit = {
+    if (TypeIds.has(st.cq.trailingMask, tid)) {
+      java.util.Arrays.fill(st.finalAcc, 0.0)
+      st.finalMin = Double.PositiveInfinity
+      st.finalMax = Double.NegativeInfinity
+    }
+    if (TypeIds.has(st.cq.typesMask, tid)) processNS(st, e, tid)
+    var b = 0
+    while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, e); b += 1 }
+  }
+
   // ------------------------------------------------------------------
   // Shared graphlet (linear expressions over snapshots)
   // ------------------------------------------------------------------
   private var shActive  = false
   private var shMembers: Array[Int] = Array.emptyIntArray
+  /** Per query: whether it is a member of the open graphlet. */
+  private val isMember = new Array[Boolean](k)
   /** Per member: its start flag for the shared type (fixed per graphlet). */
   private var shStart: Array[Boolean] = Array.emptyBooleanArray
   private var shStartUniform = true
@@ -303,6 +321,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     shCount = 0
     shTerms = 0L
     shMembers = members.toArray
+    shMembers.foreach(isMember(_) = true)
     shStart = shMembers.map(i => qs(i).isStartOfShared)
     shStartUniform = shStart.distinct.length == 1
     metrics.snapshotsCreated += 1
@@ -339,6 +358,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         st.addCum(st.cumAll, sharedTid, v)
       }
     }
+    shMembers.foreach(isMember(_) = false)
     shActive = false
     shCount = 0
     shTerms = 0L
@@ -441,13 +461,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     b
   }
 
-  /** One burst: the events `events(sel(from until until))`, all of type id `tid`. */
+  /** One burst: the events `events(sel(from until until))`, all of type id
+    * `tid`. Only a burst of the sharable type is decided (and may open a
+    * graphlet); every event then runs shared for the graphlet's members and
+    * alone for every other matching query — the split "comes for free".
+    */
   private def processBurst(events: Array[Event], sel: Array[Int], from: Int, until: Int, tid: Int): Unit = {
     // Burst boundary: graphlets of all other types become inactive
-    // (Definitions 6 and 10).
-    if (shActive && tid != sharedTid) closeShared()
+    // (Definitions 6 and 10). Bursts alternate types, so an open graphlet
+    // is never of this burst's type.
+    closeShared()
     burstMatches.fill(queries, tid, until - from)(i => events(sel(from + i)))
-
     if (tid == sharedTid && k > 1) {
       metrics.totalBursts += 1
       val t0 = System.nanoTime()
@@ -457,57 +481,20 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       metrics.plansExamined += dec.plansExamined
       if (dec.share) {
         metrics.sharedBursts += 1
-        if (shActive) closeShared() // defensive: membership is per burst
         openShared(dec.sharedIdx, tid)
-        val excluded = queries.indices.filterNot(dec.sharedIdx.contains).toArray
-        var bi = 0
-        while (bi < until - from) {
-          val e = events(sel(from + bi))
-          processShared(e, bi, tid)
-          excluded.foreach { i =>
-            if (TypeIds.has(qs(i).cq.typesMask, tid) && burstMatches(bi, i)) processNS(qs(i), e, tid)
-          }
-          nEvents += 1; metrics.events += 1
-          bi += 1
-        }
-      } else {
-        if (shActive) closeShared()
-        var bi = 0
-        while (bi < until - from) {
-          val e = events(sel(from + bi))
-          var i = 0
-          while (i < k) {
-            if (TypeIds.has(qs(i).cq.typesMask, tid) && burstMatches(bi, i)) processNS(qs(i), e, tid)
-            i += 1
-          }
-          nEvents += 1; metrics.events += 1
-          bi += 1
-        }
       }
-    } else {
-      var bi = 0
-      while (bi < until - from) {
-        val e = events(sel(from + bi))
-        var i = 0
-        while (i < k) {
-          val st = qs(i)
-          if (burstMatches(bi, i)) {
-            if (TypeIds.has(st.cq.typesMask, tid)) processNS(st, e, tid)
-            // Negation roles of this event for this query:
-            if (TypeIds.has(st.cq.trailingMask, tid)) {
-              // Pattern-final NOT: all trends ended so far are invalidated.
-              java.util.Arrays.fill(st.finalAcc, 0.0)
-              st.finalMin = Double.PositiveInfinity
-              st.finalMax = Double.NegativeInfinity
-            }
-            var b = 0
-            while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, e); b += 1 }
-          }
-          i += 1
-        }
-        nEvents += 1; metrics.events += 1
-        bi += 1
+    }
+    var bi = 0
+    while (bi < until - from) {
+      val e = events(sel(from + bi))
+      if (shActive) processShared(e, bi, tid)
+      var i = 0
+      while (i < k) {
+        if (!isMember(i) && burstMatches(bi, i)) processAlone(qs(i), e, tid)
+        i += 1
       }
+      nEvents += 1; metrics.events += 1
+      bi += 1
     }
     // Without shared graphlets the state only grows within a pane: its
     // peak is observed when the pane ends.

@@ -47,7 +47,7 @@ object BenchHarness {
   def partition(events: Seq[Event], paneMs: Long): Vector[((String, Long), Vector[Event])] =
     events
       .groupBy(e => (e.grp, e.pane(paneMs)))
-      .view.mapValues(_.toVector.sortBy(e => (e.ts, e.id)))
+      .view.mapValues(_.toVector.sorted(Event.streamOrder))
       .toVector
       .sortBy { case ((g, p), _) => (p, g) }
 

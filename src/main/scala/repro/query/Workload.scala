@@ -97,7 +97,9 @@ object Workload {
     * Two queries are sharable (Def. 5) if they hold the same Kleene
     * sub-pattern E+, their aggregation share-classes match, their windows
     * overlap (always true for sliding windows over one stream), and their
-    * grouping attributes are equal.
+    * grouping attributes are equal. A query that negates its own Kleene type
+    * E is never shared: a shared graphlet of E cannot apply that query's
+    * own barrier or reset (documented narrowing of Def. 5, like MIN/MAX).
     */
   def compile(qs: Seq[TrendQuery]): CompiledWorkload = {
     require(qs.map(_.id).distinct.size == qs.size, "duplicate query ids")
@@ -122,6 +124,7 @@ object Workload {
       .flatMap { cq =>
         for {
           e   <- cq.q.pattern.kleeneTypes.headOption // one Kleene per query (§3 assumption)
+          if !cq.tpl.trailingNegs(e) && !cq.tpl.midNegs.exists(_.negType == e)
           cls <- Agg.shareClass(cq.q.agg)
         } yield (e, cls, cq.q.groupBy) -> cq
       }

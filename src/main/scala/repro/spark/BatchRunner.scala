@@ -13,7 +13,7 @@ import repro.query.{Agg, CompiledWorkload}
   *
   * The stream is partitioned by the grouping attribute with `groupByKey`
   * (§3.1 "partitions the stream by the values of grouping attributes");
-  * within a group the events are pane-partitioned and each pane runs
+  * within a group the events are sorted in stream order and each pane runs
   * through the [[HamletExecutor]] (trends are pane-scoped, DESIGN.md).
   * Window roll-up from pane results is plain DataFrame aggregation.
   */
@@ -33,17 +33,10 @@ object BatchRunner {
   ): Dataset[PaneResult] = {
     import spark.implicits._
     val exec = new HamletExecutor(wl, policy)
-    val paneMs = wl.paneMs
     events
       .groupByKey(_.grp)
       .flatMapGroups { (grp: String, it: Iterator[Event]) =>
-        val sorted = it.toArray.sortBy(e => (e.ts, e.id))
-        val metrics = new Metrics
-        sorted
-          .groupBy(_.pane(paneMs))
-          .toSeq.sortBy(_._1)
-          .iterator
-          .flatMap { case (pane, evs) => exec.processPane(grp, pane, evs.toSeq, metrics) }
+        exec.groupResults(grp, it.toArray.sorted(Event.streamOrder), new Metrics)
       }
   }
 

@@ -14,10 +14,11 @@ import repro.query.CompiledWorkload
   * (re)selected per burst inside every micro-batch — the mapping called
   * for by the reproduction brief.
   *
-  * State per group: the events of the newest, still-open pane. Whenever a
-  * micro-batch shows events of a later pane, every completed pane is run
-  * through the [[HamletExecutor]] (graphlets, snapshots, per-burst
-  * decisions) and its results are appended downstream. A sentinel event
+  * State per group: the events of the newest, still-open pane. Each
+  * micro-batch is merged with them in stream order; every event before the
+  * group's newest pane then runs through the [[HamletExecutor]] (graphlets,
+  * snapshots, per-burst decisions) and the completed panes' results are
+  * appended downstream. A sentinel event
   * (type [[StreamingRunner.FlushType]], one per group, with a timestamp
   * past the last pane) flushes the final pane at end of input.
   */
@@ -32,7 +33,7 @@ object StreamingRunner {
     }
 
   /** Per-group state: events buffered for the newest open pane. */
-  final case class GroupBuf(pane: Long, events: List[Event])
+  final case class GroupBuf(events: List[Event])
 
   def run(
       spark: SparkSession,
@@ -49,23 +50,13 @@ object StreamingRunner {
         it: Iterator[Event],
         state: GroupState[GroupBuf],
     ): Iterator[PaneResult] = {
-      val incoming = it.toArray.sortBy(e => (e.ts, e.id))
-      val prev = state.getOption.getOrElse(GroupBuf(-1L, Nil))
-      val flush = incoming.exists(_.typ == FlushType)
-      val evs = (prev.events.reverse ++ incoming.filterNot(_.typ == FlushType))
-      if (evs.isEmpty && !flush) return Iterator.empty
-      val metrics = new Metrics
-      val byPane = evs.groupBy(_.pane(paneMs)).toSeq.sortBy(_._1)
-      val newest = byPane.lastOption.map(_._1).getOrElse(-1L)
-      val (done, open) =
-        if (flush) (byPane, Nil)
-        else byPane.partition(_._1 < newest)
-      val out = done.flatMap { case (pane, pevs) =>
-        exec.processPane(grp, pane, pevs.toSeq, metrics)
-      }
-      if (flush) state.remove()
-      else state.update(GroupBuf(newest, open.flatMap(_._2).reverse.toList))
-      out.iterator
+      val (flushes, incoming) = it.toArray.partition(_.typ == FlushType)
+      val evs = (state.getOption.fold(List.empty[Event])(_.events) ++ incoming).toArray.sorted(Event.streamOrder)
+      // Spark calls this only for a group with input, so without a flush
+      // `evs` is not empty; every event before its newest pane is complete.
+      val cut = if (flushes.nonEmpty) evs.length else evs.indexWhere(_.pane(paneMs) == evs.last.pane(paneMs))
+      if (flushes.nonEmpty) state.remove() else state.update(GroupBuf(evs.drop(cut).toList))
+      exec.groupResults(grp, evs.take(cut), new Metrics).iterator
     }
 
     events

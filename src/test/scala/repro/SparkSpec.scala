@@ -4,6 +4,8 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.core.{PaneAgg, PaneResult}
+
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
@@ -18,6 +20,20 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `got` and `want` hold the same (query, group, pane) rows, each once,
+    * and every channel of a row agrees ([[PaneAgg.agrees]]).
+    */
+  def assertSameRows(got: Seq[PaneResult], want: Seq[PaneResult]): Unit = {
+    def byKey(rs: Seq[PaneResult]) = {
+      val m = rs.map(r => (r.queryId, r.grp, r.pane) -> PaneAgg(r.c, r.n, r.s, r.mn, r.mx)).toMap
+      assert(m.size == rs.size, "a (query, group, pane) row is emitted twice")
+      m
+    }
+    val (g, w) = (byKey(got), byKey(want))
+    assert(g.keySet == w.keySet)
+    g.foreach { case (k, a) => assert(a.agrees(w(k)), s"$k: $a vs ${w(k)}") }
+  }
 }
 
 object SparkSpec {

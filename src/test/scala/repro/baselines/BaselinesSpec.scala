@@ -90,6 +90,16 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("Sharon equals brute force when a trailing NOT negates the Kleene type") {
+    // SEQ(A, B+, !B): each B first invalidates the trends ended so far,
+    // then ends new ones, so only trends ending at the last B remain.
+    val q = TrendQuery("q", Pattern.seq("A", "B+", "!B"), window = QueryWindow(4, 2))
+    for (seed <- 0 until 20) {
+      val events = TestGen.stream(new Random(3000 + seed), 10, types = Vector("A", "B", "C"))
+      Engines.assertSame(Engines.sharon(Seq(q), events), Engines.brute(Seq(q), events), s"seed=$seed")
+    }
+  }
+
   test("Sharon cost grows with flatten length (the paper's Sharon bottleneck)") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
     val cq = Engines.compile(Seq(q)).queries

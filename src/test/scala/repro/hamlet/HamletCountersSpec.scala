@@ -26,6 +26,14 @@ class HamletCountersSpec extends AnyFunSuite {
   private lazy val stockUnits =
     BenchHarness.partition(StreamGen.stockLike(4, 300, nCompanies = 8, seed = 7L), stockWl.paneMs)
 
+  /** A small ridesharing stream under workload 1: no predicates, so every
+    * decision takes the O(1) path and no shared burst needs an event-level
+    * snapshot.
+    */
+  private lazy val rideWl = Workload.compile(Workloads.ridesharingW1(8))
+  private lazy val rideUnits =
+    BenchHarness.partition(StreamGen.ridesharing(2, 1500, nGroups = 40, seed = 42L), rideWl.paneMs)
+
   /** Random workloads of the test generator, which also cover edge
     * predicates, mid-pattern and trailing negation.
     */
@@ -45,6 +53,11 @@ class HamletCountersSpec extends AnyFunSuite {
   private def stock(policy: SharingPolicy): Metrics = {
     val exec = new HamletExecutor(stockWl, policy)
     summed(stockUnits.map { case (_, evs) => (m: Metrics) => exec.processPaneAggs(evs, m): Unit })
+  }
+
+  private def ride(policy: SharingPolicy): Metrics = {
+    val exec = new HamletExecutor(rideWl, policy)
+    summed(rideUnits.map { case (_, evs) => (m: Metrics) => exec.processPaneAggs(evs, m): Unit })
   }
 
   private def random(policy: SharingPolicy): Metrics =
@@ -80,6 +93,31 @@ class HamletCountersSpec extends AnyFunSuite {
       "events" -> 2476L, "evalOps" -> 1088316L, "snapshots" -> 0L,
       "sharedBursts" -> 0L, "totalBursts" -> 54L, "sharedGraphlets" -> 0L, "graphlets" -> 524L,
       "decisions" -> 54L, "plansExamined" -> 54L, "peakLiveTerms" -> 0L, "peakBytes" -> 628896L))
+  }
+
+  test("ridesharing counters are pinned under Dynamic (no divergence)") {
+    val m = ride(Dynamic())
+    pin("ride Dynamic", m, Map(
+      "events" -> 2997L, "evalOps" -> 56055L, "snapshots" -> 523L,
+      "sharedBursts" -> 523L, "totalBursts" -> 535L, "sharedGraphlets" -> 523L, "graphlets" -> 2001L,
+      "decisions" -> 535L, "plansExamined" -> 535L, "peakLiveTerms" -> 1L, "peakBytes" -> 251776L))
+    assert(m.snapshotsCreated == m.sharedGraphlets, "only graphlet-level snapshots")
+  }
+
+  test("ridesharing counters are pinned under AlwaysShare (no divergence)") {
+    val m = ride(AlwaysShare)
+    pin("ride AlwaysShare", m, Map(
+      "events" -> 2997L, "evalOps" -> 55305L, "snapshots" -> 535L,
+      "sharedBursts" -> 535L, "totalBursts" -> 535L, "sharedGraphlets" -> 535L, "graphlets" -> 1849L,
+      "decisions" -> 535L, "plansExamined" -> 535L, "peakLiveTerms" -> 1L, "peakBytes" -> 246528L))
+    assert(m.snapshotsCreated == m.sharedGraphlets, "only graphlet-level snapshots")
+  }
+
+  test("ridesharing counters are pinned under NeverShare") {
+    pin("ride NeverShare", ride(NeverShare), Map(
+      "events" -> 2997L, "evalOps" -> 641388L, "snapshots" -> 0L,
+      "sharedBursts" -> 0L, "totalBursts" -> 535L, "sharedGraphlets" -> 0L, "graphlets" -> 6672L,
+      "decisions" -> 535L, "plansExamined" -> 535L, "peakLiveTerms" -> 0L, "peakBytes" -> 1234432L))
   }
 
   test("random-workload counters are pinned under Dynamic") {

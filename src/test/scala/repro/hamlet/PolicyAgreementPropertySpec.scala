@@ -32,6 +32,10 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
     Pattern.seq("C", "B+", "!A") -> false,
     Pattern.seq("A", "!C", "B+") -> true,
     Pattern.seq("A", "B+", "!C", "D") -> true,
+    // A query that negates its own Kleene type: never shared (DESIGN.md),
+    // and a trailing NOT B resets before the B joins a trend.
+    Pattern.seq("A", "!B", "B+") -> true,
+    Pattern.seq("A", "B+", "!B") -> false,
   )
 
   private val aggs: Vector[Agg] = Vector(Agg.CountStar, Agg.CountE("B"), Agg.Sum("B", "v"),

@@ -3,6 +3,7 @@ package repro.spark
 import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
+import repro.core.PaneResult
 import repro.events.Event
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
 import repro.metrics.Metrics
@@ -21,7 +22,7 @@ class SparkBatchSpec extends SparkSpec {
     (0 until n).toVector.map { i =>
       Event(i.toLong, rnd.nextLong(paneMs * panes).abs, types(rnd.nextInt(types.size)),
         s"g${rnd.nextInt(groups)}", Map("v" -> rnd.nextInt(100).toDouble))
-    }.sortBy(e => (e.ts, e.id)).zipWithIndex.map { case (e, i) => e.copy(id = i.toLong) }
+    }.sorted(Event.streamOrder).zipWithIndex.map { case (e, i) => e.copy(id = i.toLong) }
   }
 
   private val w42 = QueryWindow(4, 2)
@@ -41,15 +42,14 @@ class SparkBatchSpec extends SparkSpec {
     val got = BatchRunner
       .paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
       .collect().toVector
-      .map(r => (r.queryId, r.grp, r.pane) -> r.c).toMap
 
     val exec = new repro.hamlet.HamletExecutor(wl, Dynamic())
-    val expected = events.groupBy(e => (e.grp, e.pane(wl.paneMs))).flatMap {
+    val expected = events.groupBy(e => (e.grp, e.pane(wl.paneMs))).toVector.flatMap {
       case ((g, p), evs) =>
-        exec.processPane(g, p, evs.sortBy(e => (e.ts, e.id)), new Metrics)
-          .map(r => (r.queryId, r.grp, r.pane) -> r.c)
+        exec.processPaneAggs(evs.sorted(Event.streamOrder), new Metrics)
+          .map { case (q, agg) => PaneResult.of(q, g, p, agg) }
     }
-    assert(got == expected)
+    assertSameRows(got, expected)
   }
 
   test("policies agree through the Spark runner") {
