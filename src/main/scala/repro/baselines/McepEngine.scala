@@ -8,6 +8,11 @@ import repro.hamlet.ChannelSpec
 import repro.metrics.Metrics
 import repro.query.CompiledQuery
 
+/** A baseline's per-query aggregates for one (group, pane), and whether it
+  * hit its safety cap (the aggregates are then lower bounds).
+  */
+final case class PaneOut(aggs: Map[String, PaneAgg], truncated: Boolean)
+
 /** MCEP-style baseline [22]: the most recent *shared two-step* approach.
   * It shares event trend **construction** across queries, then aggregates
   * the constructed trends — so unlike the online engines it pays the
@@ -25,14 +30,12 @@ import repro.query.CompiledQuery
   */
 object McepEngine {
 
-  final case class Out(aggs: Map[String, PaneAgg], truncated: Boolean)
-
   def processPane(
       queries: Seq[CompiledQuery],
       events: Seq[Event],
       metrics: Metrics,
       maxVisits: Long = 20_000_000L,
-  ): Out = {
+  ): PaneOut = {
     val t0 = System.nanoTime()
     val k = queries.size
     val channels = ChannelSpec.forQueries(queries)
@@ -176,6 +179,6 @@ object McepEngine {
     val aggs = queries.zipWithIndex.map { case (q, qi) =>
       q.id -> ChannelSpec.reader(channels, q.q.agg).read(finals(qi), finMin(qi), finMax(qi))
     }.toMap
-    Out(aggs, truncated)
+    PaneOut(aggs, truncated)
   }
 }

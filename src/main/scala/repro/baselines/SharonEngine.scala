@@ -20,8 +20,6 @@ import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq}
   */
 object SharonEngine {
 
-  final case class Out(aggs: Map[String, PaneAgg], truncated: Boolean)
-
   /** Positive linear item sequence of a flattenable pattern:
     * (preTypes, kleeneType, postTypes). Mid/trailing negation positions are
     * handled via the compiled template's barriers.
@@ -52,7 +50,7 @@ object SharonEngine {
       metrics: Metrics,
       maxLen: Int = 64,
       fixedLen: Option[Int] = None,
-  ): Out = {
+  ): PaneOut = {
     val t0 = System.nanoTime()
     val channels = ChannelSpec.forQueries(queries)
     val nCh = channels.size
@@ -77,12 +75,13 @@ object SharonEngine {
       val cnt = Array.tabulate(L)(j => { val a = new Array[Double](lens(j) + 1); a(0) = 1.0; a })
       val chans = Array.tabulate(L)(j => Array.fill(nCh - 1)(new Array[Double](lens(j) + 1)))
 
-      // Mid-neg barriers as boundary positions per variant.
       val barriers = cq.tpl.midNegs
 
       evs.foreach { ev =>
-        val isTrailNeg = cq.tpl.trailingNegs.contains(ev.typ) && cq.q.matches(ev)
-        val isMidNeg = barriers.exists(_.negType == ev.typ) && cq.q.matches(ev)
+        val matched = cq.q.matches(ev)
+        val isTrailNeg = matched && cq.tpl.trailingNegs.contains(ev.typ)
+        val isPos = matched && cq.tpl.types.contains(ev.typ)
+        val negs = if (matched) barriers.filter(_.negType == ev.typ) else Nil
         // A pattern-final NOT resets before a same-type event ends new trends.
         if (isTrailNeg) {
           var j = 0
@@ -92,13 +91,23 @@ object SharonEngine {
             j += 1
           }
         }
-        if (cq.tpl.types.contains(ev.typ) && cq.q.matches(ev)) {
+        if (isPos || negs.nonEmpty) {
           var j = 0
           while (j < L) {
             val pt = posType(j)
             var i = lens(j)
             while (i >= 1) {
-              if (pt(i - 1) == ev.typ) {
+              // A mid-pattern NOT between 1-based stages i and i+1 blocks
+              // the prefixes that ended at stage i before this event. Stage
+              // i+1 already read them (edges into the negating event stay
+              // valid); the event's own extension to stage i is added after
+              // the reset (edges out of it stay valid too).
+              if (negs.nonEmpty && i < lens(j) &&
+                  negs.exists(nb => nb.fromTypes.contains(pt(i - 1)) && nb.toTypes.contains(pt(i)))) {
+                cnt(j)(i) = 0.0
+                var ch = 0; while (ch < nCh - 1) { chans(j)(ch)(i) = 0.0; ch += 1 }
+              }
+              if (isPos && pt(i - 1) == ev.typ) {
                 val add = cnt(j)(i - 1)
                 cnt(j)(i) += add
                 var ch = 1
@@ -115,27 +124,6 @@ object SharonEngine {
             j += 1
           }
         }
-        if (isMidNeg) {
-          // Zero prefix counts at barrier boundary positions: prefixes
-          // completed before the negation may not cross it.
-          barriers.filter(_.negType == ev.typ).foreach { nb =>
-            var j = 0
-            while (j < L) {
-              val pt = posType(j)
-              var i = 1
-              while (i < lens(j)) {
-                // Barrier between 1-based stages i and i+1: prefixes that
-                // end at stage i (count cnt(i)) may not cross it anymore.
-                if (nb.fromTypes.contains(pt(i - 1)) && nb.toTypes.contains(pt(i))) {
-                  cnt(j)(i) = 0.0
-                  var ch = 0; while (ch < nCh - 1) { chans(j)(ch)(i) = 0.0; ch += 1 }
-                }
-                i += 1
-              }
-              j += 1
-            }
-          }
-        }
         metrics.events += 1
       }
 
@@ -150,6 +138,6 @@ object SharonEngine {
         .read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
     }
     metrics.wallNanos += System.nanoTime() - t0
-    Out(out.result(), truncated)
+    PaneOut(out.result(), truncated)
   }
 }

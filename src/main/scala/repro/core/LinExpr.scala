@@ -26,8 +26,6 @@ final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[
   def keyAt(i: Int): Long     = keys(i)
   def coefAt(i: Int): Double  = coefs(i)
 
-  def terms: Map[Long, Double] = keys.indices.map(i => keys(i) -> coefs(i)).toMap
-
   def +(o: LinExpr): LinExpr = {
     val b = new LinExpr.Builder
     b += this
@@ -41,20 +39,8 @@ final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[
 
   def +(c: Double): LinExpr = new LinExpr(const + c, keys, coefs)
 
-  /** Substitute per-query snapshot values. `lookup(snapId, chIdx)` returns
-    * the value of that snapshot channel for the query being evaluated.
-    */
-  def eval(lookup: (Long, Int) => Double): Double = {
-    var acc = const
-    var i = 0
-    while (i < keys.length) {
-      acc += coefs(i) * lookup(LinExpr.snapOf(keys(i)), LinExpr.chanOf(keys(i)))
-      i += 1
-    }
-    acc
-  }
-
-  override def toString: String = s"LinExpr($const, $terms)"
+  override def toString: String =
+    keys.indices.map(i => s"${keys(i)} -> ${coefs(i)}").mkString(s"LinExpr($const, ", ", ", ")")
 }
 
 object LinExpr {

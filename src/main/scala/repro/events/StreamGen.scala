@@ -49,7 +49,6 @@ object StreamGen {
     val rnd = new Random(seed)
     val buf = new ArrayBuffer[Event]()
     val total = minutes.toLong * eventsPerMin
-    var t = 0L
     val horizon = minutes * 60_000L
     var id = 0L
     def emit(ts: Long, typ: String, grp: String,
@@ -80,7 +79,6 @@ object StreamGen {
       }
       if (rnd.nextDouble() < noiseFrac)
         emit(t0 + rnd.nextInt(5000), NoiseTypes(rnd.nextInt(NoiseTypes.size)), grp, Map.empty, Map.empty)
-      t += 1
     }
     finalize(buf)
   }

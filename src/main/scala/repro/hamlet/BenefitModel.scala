@@ -46,15 +46,3 @@ case object Eq8Model extends CostModel {
   def nonShared(s: BurstStats): Double =
     s.k.toDouble * s.b * (log2(s.g) + s.n.toDouble)
 }
-
-/** Coarse-grained whole-window costs (Equations 4 and 6) — used only for
-  * the static compile-time comparison in tests; the runtime optimizer works
-  * per burst.
-  */
-object StaticCost {
-  /** Equation 4: NonShared(Q) = k·n². */
-  def nonShared(k: Int, n: Long): Double = k.toDouble * n * n
-  /** Equation 6: Shared(Q) = n²·s + s·k·g·t. */
-  def shared(n: Long, s: Long, k: Int, g: Long, t: Double): Double =
-    n.toDouble * n * s + s.toDouble * k * g * t
-}

@@ -17,19 +17,20 @@ import repro.query.{CompiledQuery, CompiledWorkload}
   */
 final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends Serializable {
 
-  /** Engine plans, built once: one per sharable set under `policy`, one
-    * per singleton query (always non-shared).
+  /** Engine plans, built once: one per sharable set, one per singleton
+    * query. A singleton plan has no sharable type, so `policy` is never
+    * asked about it and it always runs non-shared.
     */
-  private val plans: Vector[(EnginePlan, SharingPolicy)] =
-    wl.sets.map(set => (new EnginePlan(set.queries, Some(set.sharedType)), policy)) ++
-      wl.singletons.map(q => (new EnginePlan(Vector(q), None), NeverShare))
+  private val plans: Vector[EnginePlan] =
+    wl.sets.map(set => new EnginePlan(set.queries, Some(set.sharedType))) ++
+      wl.singletons.map(q => new EnginePlan(Vector(q), None))
 
   /** Hands each query's aggregate for one pane of one group to `emit`. */
   def foreachAgg(events: Seq[Event], metrics: Metrics)(emit: (CompiledQuery, PaneAgg) => Unit): Unit = {
     val evs = events.toArray
     val tids = evs.map(e => wl.types.of(e.typ))
-    plans.foreach { case (plan, pol) =>
-      val aggs = new SetPaneEngine(plan, pol, metrics).processPane(evs, tids)
+    plans.foreach { plan =>
+      val aggs = new SetPaneEngine(plan, policy, metrics).processPane(evs, tids)
       var i = 0
       while (i < aggs.length) { emit(plan.queries(i), aggs(i)); i += 1 }
     }
@@ -70,5 +71,5 @@ final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends 
   */
 object GretaEngine {
   def apply(wl: CompiledWorkload): HamletExecutor =
-    new HamletExecutor(wl.copy(sets = Vector.empty, singletons = wl.queries), NeverShare)
+    new HamletExecutor(wl.copy(sets = Vector.empty), NeverShare)
 }

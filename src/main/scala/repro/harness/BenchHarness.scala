@@ -1,13 +1,11 @@
 package repro.harness
 
-import scala.collection.mutable
-
-import repro.baselines.{McepEngine, SharonEngine}
+import repro.baselines.{McepEngine, PaneOut, SharonEngine}
 import repro.core.PaneAgg
 import repro.events.Event
 import repro.hamlet.{GretaEngine, HamletExecutor, SharingPolicy}
 import repro.metrics.Metrics
-import repro.query.CompiledWorkload
+import repro.query.{CompiledQuery, CompiledWorkload}
 
 /** One measured engine run over a replayed stream.
   *
@@ -51,76 +49,81 @@ object BenchHarness {
       .toVector
       .sortBy { case ((g, p), _) => (p, g) }
 
-  private def result(name: String, wallNanos: Long, nEvents: Long, nUnits: Long,
-                     metrics: Metrics, truncated: Boolean, total: PaneAgg): RunResult = {
-    val wallMs = wallNanos / 1e6
+  /** One engine call over one (group, pane): hands each query's aggregate
+    * to `emit` and says whether it hit a safety cap.
+    */
+  private type Call = (Vector[Event], Metrics, PaneAgg => Unit) => Boolean
+
+  /** Overlapping window instances that contain one pane of `q`: the times
+    * an engine without pane sharing processes that pane for `q`.
+    */
+  private def instances(q: CompiledQuery): Int = q.windowPanes / q.slidePanes
+
+  private def executor(exec: HamletExecutor): Call =
+    (evs, metrics, emit) => { exec.foreachAgg(evs, metrics)((_, agg) => emit(agg)); false }
+
+  private def baseline(out: PaneOut, emit: PaneAgg => Unit): Boolean = {
+    out.aggs.values.foreach(emit)
+    out.truncated
+  }
+
+  /** Times one run: every (group, pane) goes through `jobs` in order, each
+    * job replaying it as many times as it says, and only a job's first
+    * replay of a unit adds to the total. The callers build every job
+    * before the clock starts. The replay is sequential, but a running
+    * Greta or Sharon holds every query's state for every live window
+    * instance at once (space O(k·n), §3.2), so `peakScale` multiplies the
+    * replay's peak by the number of those instances.
+    */
+  private def replay(name: String, events: Seq[Event], parts: Vector[((String, Long), Vector[Event])],
+                     jobs: Seq[(Int, Call)], peakScale: Long): RunResult = {
+    val metrics = new Metrics
+    var total = PaneAgg.empty
+    var truncated = false
+    val keep: PaneAgg => Unit = agg => total += agg
+    val skip: PaneAgg => Unit = _ => ()
+    val t0 = System.nanoTime()
+    parts.foreach { case (_, evs) =>
+      jobs.foreach { case (reps, call) =>
+        var r = 0
+        while (r < reps) {
+          truncated |= call(evs, metrics, if (r == 0) keep else skip)
+          r += 1
+        }
+      }
+    }
+    val wallMs = (System.nanoTime() - t0) / 1e6
+    metrics.peakBytes *= peakScale
     RunResult(name, wallMs,
-      latencyMs = wallMs / math.max(nUnits, 1),
-      throughputEps = nEvents / math.max(wallMs / 1000.0, 1e-9),
+      latencyMs = wallMs / math.max(parts.size, 1),
+      throughputEps = events.size / math.max(wallMs / 1000.0, 1e-9),
       peakBytes = metrics.peakBytes, metrics = metrics,
       truncated = truncated, total = total)
   }
 
   def runHamlet(wl: CompiledWorkload, policy: SharingPolicy, events: Seq[Event],
-                name: String = "HAMLET"): RunResult = {
-    val metrics = new Metrics
-    val parts = partition(events, wl.paneMs)
-    val exec = new HamletExecutor(wl, policy)
-    var total = PaneAgg.empty
-    val t0 = System.nanoTime()
-    parts.foreach { case (_, evs) => exec.foreachAgg(evs, metrics)((_, agg) => total += agg) }
-    result(name, System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated = false, total)
-  }
+                name: String = "HAMLET"): RunResult =
+    replay(name, events, partition(events, wl.paneMs),
+      Seq(1 -> executor(new HamletExecutor(wl, policy))), peakScale = 1)
 
+  /** One executor per count of overlapping window instances per pane;
+    * inside it every query still runs alone on its own engine.
+    */
   def runGreta(wl: CompiledWorkload, events: Seq[Event]): RunResult = {
-    val metrics = new Metrics
-    val parts = partition(events, wl.paneMs)
-    // One executor per count of overlapping window instances per pane;
-    // inside it every query still runs alone on its own engine.
-    val byReps = wl.queries.groupBy(q => q.windowPanes / q.slidePanes).toVector.sortBy(_._1)
-      .map { case (reps, qs) => (reps, GretaEngine(wl.copy(queries = qs))) }
-    var total = PaneAgg.empty
-    val t0 = System.nanoTime()
-    parts.foreach { case (_, evs) =>
-      byReps.foreach { case (reps, exec) =>
-        var r = 0
-        while (r < reps) {
-          exec.foreachAgg(evs, metrics)((_, agg) => if (r == 0) total += agg)
-          r += 1
-        }
-      }
-    }
-    // The replay is sequential but a running Greta holds every query's
-    // graph for every live window instance concurrently (space O(k·n),
-    // §3.2): scale the per-graph peak accordingly.
-    metrics.peakBytes *= wl.queries.map(q => q.windowPanes / q.slidePanes).sum
-    result("GRETA", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated = false, total)
+    val jobs = wl.queries.groupBy(instances).toVector.sortBy(_._1)
+      .map { case (reps, qs) => reps -> executor(GretaEngine(wl.copy(queries = qs))) }
+    replay("GRETA", events, partition(events, wl.paneMs), jobs,
+      peakScale = wl.queries.map(instances).sum)
   }
 
   def runMcep(wl: CompiledWorkload, events: Seq[Event], maxVisits: Long = 20_000_000L): RunResult = {
-    val metrics = new Metrics
-    val parts = partition(events, wl.paneMs)
-    var total = PaneAgg.empty
-    var truncated = false
-    val reps = wl.queries.map(q => q.windowPanes / q.slidePanes).max
-    val t0 = System.nanoTime()
-    parts.foreach { case (_, evs) =>
-      var r = 0
-      while (r < reps) {
-        val out = McepEngine.processPane(wl.queries, evs, metrics, maxVisits)
-        truncated ||= out.truncated
-        if (r == 0) total = out.aggs.values.foldLeft(total)(_ + _)
-        r += 1
-      }
-    }
-    result("MCEP", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated, total)
+    val call: Call = (evs, metrics, emit) =>
+      baseline(McepEngine.processPane(wl.queries, evs, metrics, maxVisits), emit)
+    replay("MCEP", events, partition(events, wl.paneMs),
+      Seq(wl.queries.map(instances).max -> call), peakScale = 1)
   }
 
   def runSharon(wl: CompiledWorkload, events: Seq[Event], maxLen: Int = 64): RunResult = {
-    val metrics = new Metrics
     val parts = partition(events, wl.paneMs)
     // Static flatten length per §6.1: the longest possible Kleene match —
     // here the max per-(group, pane) count of any query's Kleene type.
@@ -128,26 +131,12 @@ object BenchHarness {
     val fixedLen = parts.iterator
       .map { case (_, evs) => kleeneTypes.map(t => evs.count(_.typ == t)).maxOption.getOrElse(0) }
       .maxOption.getOrElse(1)
-    var total = PaneAgg.empty
-    var truncated = false
-    val t0 = System.nanoTime()
-    parts.foreach { case (_, evs) =>
-      wl.queries.foreach { q =>
-        val reps = q.windowPanes / q.slidePanes
-        var r = 0
-        while (r < reps) {
-          val out = SharonEngine.processPane(Seq(q), evs, metrics, maxLen, Some(fixedLen))
-          truncated ||= out.truncated
-          if (r == 0) total = out.aggs.values.foldLeft(total)(_ + _)
-          r += 1
-        }
-      }
+    val jobs = wl.queries.map { q =>
+      val call: Call = (evs, metrics, emit) =>
+        baseline(SharonEngine.processPane(Seq(q), evs, metrics, maxLen, Some(fixedLen)), emit)
+      instances(q) -> call
     }
-    // Like Greta, a running Sharon keeps per-query per-window-instance
-    // prefix-count state concurrently.
-    metrics.peakBytes *= wl.queries.map(q => q.windowPanes / q.slidePanes).sum
-    result("SHARON", System.nanoTime() - t0, events.size.toLong, parts.size.toLong,
-      metrics, truncated, total)
+    replay("SHARON", events, parts, jobs, peakScale = wl.queries.map(instances).sum)
   }
 
   /** Fixed-width table printer used by every bench/job. */

@@ -37,8 +37,6 @@ final class Metrics extends Serializable {
     wallNanos += o.wallNanos
   }
 
-  def snapshot: Metrics = { val m = new Metrics; m += this; m }
-
   override def toString: String =
     f"events=$events snapsCreated=$snapshotsCreated peakTerms=$peakLiveTerms " +
     f"bursts=$sharedBursts/$totalBursts graphlets=$sharedGraphlets/$graphlets " +

@@ -16,21 +16,6 @@ sealed trait Pattern {
     case PNot(_)     => Set.empty
   }
 
-  /** Negated event types appearing in this pattern. */
-  def negTypes: Set[String] = this match {
-    case PNot(t)     => Set(t)
-    case PKleene(p)  => p.negTypes
-    case PSeq(items) => items.flatMap(_.negTypes).toSet
-    case _           => Set.empty
-  }
-
-  /** Whether a Kleene plus occurs anywhere (making this a Kleene pattern). */
-  def hasKleene: Boolean = this match {
-    case PKleene(_)  => true
-    case PSeq(items) => items.exists(_.hasKleene)
-    case _           => false
-  }
-
   /** The event types under a Kleene plus applied to a single type (the
     * sharable-sub-pattern shape `E+` of Definition 4).
     */

@@ -78,9 +78,12 @@ final case class CompiledWorkload(
     types: TypeIds,
     queries: Vector[CompiledQuery],
     sets: Vector[SharableSet],
-    singletons: Vector[CompiledQuery],
 ) {
-  def byId(id: String): CompiledQuery = queries.find(_.id == id).get
+  /** The queries in no sharable set, in workload order. */
+  val singletons: Vector[CompiledQuery] = {
+    val inSets = sets.flatMap(_.queries.map(_.id)).toSet
+    queries.filterNot(q => inSets(q.id))
+  }
 }
 
 /** Workload analysis (§3.1): pane computation and sharable-set discovery. */
@@ -132,8 +135,6 @@ object Workload {
       .collect { case ((e, _, _), members) if members.size > 1 => SharableSet(e, members) }
       .toVector
       .sortBy(_.sharedType)
-    val inSets = sharable.flatMap(_.queries.map(_.id)).toSet
-    CompiledWorkload(paneMs, types, compiled, sharable,
-      singletons = compiled.filterNot(c => inSets(c.id)))
+    CompiledWorkload(paneMs, types, compiled, sharable)
   }
 }

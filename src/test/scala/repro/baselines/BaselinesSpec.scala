@@ -100,6 +100,19 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  // A mid-pattern NOT whose type is also a positive type of the pattern:
+  // the negating event blocks every prefix that ended before it and still
+  // extends or starts its own (brute force excludes both endpoints).
+  for (shape <- Seq(Seq("A", "B+", "!B", "C"), Seq("A", "!A", "B+"))) {
+    test(s"Sharon equals brute force when a mid-pattern NOT negates a positive type: SEQ(${shape.mkString(", ")})") {
+      val q = TrendQuery("q", Pattern.seq(shape: _*), window = QueryWindow(4, 2))
+      for (seed <- 0 until 200) {
+        val events = TestGen.stream(new Random(seed), 10, types = Vector("A", "B", "C"))
+        Engines.assertSame(Engines.sharon(Seq(q), events), Engines.brute(Seq(q), events), s"seed=$seed")
+      }
+    }
+  }
+
   test("Sharon cost grows with flatten length (the paper's Sharon bottleneck)") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
     val cq = Engines.compile(Seq(q)).queries

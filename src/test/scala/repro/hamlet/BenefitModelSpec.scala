@@ -87,9 +87,4 @@ class BenefitModelSpec extends AnyFunSuite {
       assert(s.sC * s.g * s.p <= s.b * (log2g + s.n) + 1e-9)
     }
   }
-
-  test("Equation 4 / 6 coarse static costs") {
-    assert(StaticCost.nonShared(k = 10, n = 100) == 100000.0)
-    assert(StaticCost.shared(n = 100, s = 5, k = 10, g = 20, t = 3.0) == 50000.0 + 3000.0)
-  }
 }

@@ -37,6 +37,24 @@ class HarnessSpec extends AnyFunSuite {
     assert(h.total.c > 0)
   }
 
+  test("each engine's counters on ridesharing workload 1 are pinned") {
+    val runs = Seq(
+      BenchHarness.runHamlet(wl, Dynamic(), events), BenchHarness.runGreta(wl, events),
+      BenchHarness.runMcep(wl, events), BenchHarness.runSharon(wl, events))
+    // name -> (events, evalOps, snapshots, shared bursts, total bursts, peak bytes)
+    val pinned = Map(
+      "HAMLET" -> (3174L, 27504L, 453L, 453L, 758L, 2416L),
+      "GRETA"  -> (86568L, 193808L, 0L, 0L, 0L, 27136L),
+      "MCEP"   -> (12696L, 175700L, 0L, 0L, 0L, 1024L),
+      "SHARON" -> (86568L, 6494320L, 0L, 0L, 0L, 37632L))
+    runs.foreach { r =>
+      val m = r.metrics
+      assert((m.events, m.evalOps, m.snapshotsCreated, m.sharedBursts, m.totalBursts, m.peakBytes) ==
+        pinned(r.name), r.name)
+      assert(r.peakBytes == m.peakBytes && !r.truncated && r.total.c == 68592.0, r.name)
+    }
+  }
+
   test("checkAgreement compares every channel, not only the trend count") {
     val r = BenchHarness.runHamlet(wl, NeverShare, events.take(2000))
     def rows(other: RunResult) = Seq(r, other).map(Experiments.Row("Ridesharing", 800, 8, _))

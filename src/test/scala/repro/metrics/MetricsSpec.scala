@@ -27,14 +27,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(a.peakLiveTerms == 9)
   }
 
-  test("snapshot copies without aliasing") {
-    val a = new Metrics
-    a.events = 3
-    val c = a.snapshot
-    a.events = 99
-    assert(c.events == 3)
-  }
-
   test("toString mentions the key counters") {
     val m = new Metrics
     m.events = 2; m.snapshotsCreated = 1

@@ -65,15 +65,8 @@ class PatternTemplateSpec extends AnyFunSuite {
     assert(Pattern.seq("A", "B").kleeneTypes == Set.empty)
   }
 
-  test("hasKleene distinguishes Kleene patterns (Definition 1)") {
-    assert(Pattern.seq("R", "T+").hasKleene)
-    assert(!Pattern.seq("R", "T").hasKleene)
-  }
-
-  test("negTypes and types are disjoint views of the pattern") {
-    val p = Pattern.seq("R", "T+", "!P")
-    assert(p.types == Set("R", "T"))
-    assert(p.negTypes == Set("P"))
+  test("types lists the positive types of the pattern, not the negated ones") {
+    assert(Pattern.seq("R", "T+", "!P").types == Set("R", "T"))
   }
 
   test("pattern with no positive start is rejected") {

@@ -29,8 +29,9 @@ class WorkloadSpec extends AnyFunSuite {
       q("a", Pattern.seq("B+"), w = QueryWindow(10, 5)),
       q("b", Pattern.seq("B+"), w = QueryWindow(15, 5))))
     assert(wl.paneMs == 5 * 60_000L)
-    assert(wl.byId("a").windowPanes == 2 && wl.byId("a").slidePanes == 1)
-    assert(wl.byId("b").windowPanes == 3)
+    val (a, b) = (wl.queries.find(_.id == "a").get, wl.queries.find(_.id == "b").get)
+    assert(a.windowPanes == 2 && a.slidePanes == 1)
+    assert(b.windowPanes == 3)
   }
 
   test("Definition 4: Kleene sub-pattern shared by >1 query forms a set") {
@@ -141,8 +142,8 @@ class WorkloadSpec extends AnyFunSuite {
     val ids = wl.types
     assert(ids.names == Vector("A", "B", "C", "D"))
     assert(ids.of("Z") == -1)
-    val q1 = wl.byId("q1")
-    val q2 = wl.byId("q2")
+    val q1 = wl.queries.find(_.id == "q1").get
+    val q2 = wl.queries.find(_.id == "q2").get
     assert(q1.predMask(ids.of("B")) == ids.mask(Set("A", "B")))
     assert(q1.predMask(ids.of("A")) == 0L)
     assert(q2.universeMask == ids.mask(Set("B", "C", "D")))

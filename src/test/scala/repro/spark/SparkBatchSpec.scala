@@ -71,7 +71,7 @@ class SparkBatchSpec extends SparkSpec {
   private def oracleCheck(q: TrendQuery, seed: Int, n: Int = 60): Unit = {
     val wl = Workload.compile(Seq(q))
     val events = mkEvents(seed, n, 3, 2, wl.paneMs)
-    val cq = wl.byId(q.id)
+    val cq = wl.queries.find(_.id == q.id).get
     val sparkDf = {
       import spark.implicits._
       BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
