@@ -70,10 +70,11 @@ object BenchHarness {
   /** Times one run: every (group, pane) goes through `jobs` in order, each
     * job replaying it as many times as it says, and only a job's first
     * replay of a unit adds to the total. The callers build every job
-    * before the clock starts. The replay is sequential, but a running
-    * Greta or Sharon holds every query's state for every live window
-    * instance at once (space O(k·n), §3.2), so `peakScale` multiplies the
-    * replay's peak by the number of those instances.
+    * before the clock starts, and one untimed pass with throwaway metrics
+    * warms the code, so no setting is timed cold. The replay is sequential,
+    * but a running Greta or Sharon holds every query's state for every live
+    * window instance at once (space O(k·n), §3.2), so `peakScale`
+    * multiplies the replay's peak by the number of those instances.
     */
   private def replay(name: String, events: Seq[Event], parts: Vector[((String, Long), Vector[Event])],
                      jobs: Seq[(Int, Call)], peakScale: Long): RunResult = {
@@ -82,6 +83,8 @@ object BenchHarness {
     var truncated = false
     val keep: PaneAgg => Unit = agg => total += agg
     val skip: PaneAgg => Unit = _ => ()
+    val warm = new Metrics
+    parts.foreach { case (_, evs) => jobs.foreach { case (_, call) => call(evs, warm, skip) } }
     val t0 = System.nanoTime()
     parts.foreach { case (_, evs) =>
       jobs.foreach { case (reps, call) =>

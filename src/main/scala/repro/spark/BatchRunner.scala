@@ -1,9 +1,10 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
-import repro.core.PaneResult
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+
+import repro.core.{PaneAgg, PaneResult}
 import repro.events.Event
 import repro.hamlet.{HamletExecutor, SharingPolicy}
 import repro.metrics.Metrics
@@ -15,13 +16,20 @@ import repro.query.{Agg, CompiledWorkload}
   * (§3.1 "partitions the stream by the values of grouping attributes");
   * within a group the events are sorted in stream order and each pane runs
   * through the [[HamletExecutor]] (trends are pane-scoped, DESIGN.md).
-  * Window roll-up from pane results is plain DataFrame aggregation.
+  * Window roll-up groups the pane results by group once more and sums each
+  * query's panes into its window instances in the task, so every pane
+  * result is reused by all windows that hold it.
   */
 object BatchRunner {
 
+  /** One window instance of one query over one group: a row of [[windowed]]. */
+  final case class WindowRow(queryId: String, grp: String, windowInstance: Long, windowEndPane: Long,
+                             value: Option[Double])
+
+  /** The events as a Dataset, encoded in Spark tasks rather than on the driver. */
   def toDS(spark: SparkSession, events: Seq[Event]): Dataset[Event] = {
     import spark.implicits._
-    spark.createDataset(events)
+    spark.createDataset(spark.sparkContext.parallelize(events, spark.sparkContext.defaultParallelism))
   }
 
   /** Per-(query, group, pane) aggregate channels. */
@@ -43,47 +51,36 @@ object BatchRunner {
   /** Roll pane results up into sliding-window results per query
     * (WITHIN/SLIDE): pane p belongs to window instances i with
     * i·slide ≤ p < i·slide + window; a window instance's value combines
-    * its panes' channels (sums for c/n/s, min/mn, max/mx) and the final
-    * value is derived per the query's aggregate.
+    * its panes' channels with `PaneAgg.+` and the final value is derived
+    * per the query's aggregate (null for AVG over no events and for
+    * MIN/MAX over no trend).
     *
     * Output columns: queryId, grp, windowInstance, windowEndPane, value.
     */
   def windowed(spark: SparkSession, wl: CompiledWorkload, panes: Dataset[PaneResult]): DataFrame = {
     import spark.implicits._
-    val geom = wl.queries
-      .map { q =>
-        val kind = q.q.agg match {
-          case Agg.CountStar => "count"
-          case Agg.CountE(_) => "countE"
-          case Agg.Sum(_, _) => "sum"
-          case Agg.Avg(_, _) => "avg"
-          case Agg.Min(_, _) => "min"
-          case Agg.Max(_, _) => "max"
-        }
-        (q.id, q.windowPanes, q.slidePanes, kind)
+    val geom = wl.queries.map(q => q.id -> (q.windowPanes.toLong, q.slidePanes.toLong, q.q.agg)).toMap
+    panes.groupByKey(_.grp).flatMapGroups { (grp: String, rows: Iterator[PaneResult]) =>
+      val acc = mutable.HashMap.empty[(String, Long), PaneAgg]
+      for (r <- rows) {
+        val (wp, sp, _) = geom(r.queryId)
+        val a = PaneAgg(r.c, r.n, r.s, r.mn, r.mx)
+        for (i <- math.max(0L, Math.floorDiv(r.pane - wp + sp, sp)) to Math.floorDiv(r.pane, sp))
+          acc.updateWith((r.queryId, i))(o => Some(o.fold(a)(_ + a)))
       }
-      .toDF("queryId", "wp", "sp", "kind")
+      acc.iterator.map { case ((q, i), a) =>
+        val (wp, sp, agg) = geom(q)
+        WindowRow(q, grp, i, i * sp + wp, value(agg, a))
+      }
+    }.toDF()
+  }
 
-    panes.toDF()
-      .join(broadcast(geom), "queryId")
-      .withColumn("wi",
-        explode(sequence(
-          greatest(lit(0L), ceil(($"pane" - $"wp" + 1).cast("double") / $"sp").cast("long")),
-          floor($"pane".cast("double") / $"sp").cast("long"))))
-      .groupBy($"queryId", $"grp", $"wi", $"kind", $"wp", $"sp")
-      .agg(
-        sum($"c").as("c"), sum($"n").as("n"), sum($"s").as("sm"),
-        min($"mn").as("mn"), max($"mx").as("mx"))
-      .select(
-        $"queryId", $"grp",
-        $"wi".as("windowInstance"),
-        ($"wi" * $"sp" + $"wp").as("windowEndPane"),
-        when($"kind" === "count", $"c")
-          .when($"kind" === "countE", $"n")
-          .when($"kind" === "sum", $"sm")
-          .when($"kind" === "avg", when($"n" =!= 0.0, $"sm" / $"n"))
-          .when($"kind" === "min", when($"mn" =!= lit(Double.PositiveInfinity), $"mn"))
-          .when($"kind" === "max", when($"mx" =!= lit(Double.NegativeInfinity), $"mx"))
-          .as("value"))
+  private def value(agg: Agg, a: PaneAgg): Option[Double] = agg match {
+    case Agg.CountStar => Some(a.c)
+    case Agg.CountE(_) => Some(a.n)
+    case Agg.Sum(_, _) => Some(a.s)
+    case Agg.Avg(_, _) => Option.when(a.n != 0.0)(a.s / a.n)
+    case Agg.Min(_, _) => Option.when(a.mn != Double.PositiveInfinity)(a.mn)
+    case Agg.Max(_, _) => Option.when(a.mx != Double.NegativeInfinity)(a.mx)
   }
 }

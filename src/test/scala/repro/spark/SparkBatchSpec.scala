@@ -52,6 +52,25 @@ class SparkBatchSpec extends SparkSpec {
     assertSameRows(got, expected)
   }
 
+  test("toDS takes events in any order; no events give no pane or window rows") {
+    val wl = Workload.compile(Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+"), Agg.Avg("B", "v"), window = w42),
+      TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Max("B", "v"), window = w42)))
+    val events = mkEvents(4, 150, 4, 3, wl.paneMs)
+    val got = BatchRunner
+      .paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, new Random(4).shuffle(events)))
+      .collect().toVector
+    val exec = new repro.hamlet.HamletExecutor(wl, Dynamic())
+    val expected = events.groupBy(_.grp).toVector.flatMap { case (g, evs) =>
+      exec.groupResults(g, evs.sorted(Event.streamOrder).toArray, new Metrics)
+    }
+    assertSameRows(got, expected)
+
+    val empty = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, Seq.empty))
+    assert(empty.count() == 0)
+    assert(BatchRunner.windowed(spark, wl, empty).count() == 0)
+  }
+
   test("policies agree through the Spark runner") {
     val qs = Seq(
       TrendQuery("q1", Pattern.seq("A", "B+"), preds = Seq(NumPred("B", "v", ">", 40)), window = w42),

@@ -1,11 +1,16 @@
 package repro.spark
 
+import scala.collection.mutable
+import scala.util.Random
+
+import org.apache.spark.sql.types._
+
 import repro.SparkSpec
-import repro.core.PaneResult
+import repro.core.{PaneAgg, PaneResult}
 import repro.query._
 
-/** DataFrame window roll-up: pane results → WITHIN/SLIDE window results
-  * per query, with the final value derived per aggregate.
+/** Window roll-up: pane results → WITHIN/SLIDE window results per query,
+  * with the final value derived per aggregate.
   */
 class WindowingSpec extends SparkSpec {
 
@@ -72,5 +77,79 @@ class WindowingSpec extends SparkSpec {
     val out = collect(wl, rows)
     assert(out((("a"), "g", 0L)).contains(2.0))
     assert(out((("b"), "g", 0L)).contains(4.0))
+  }
+
+  test("window rows keep their schema: names, order, types and nullability") {
+    import spark.implicits._
+    val wl = Workload.compile(Seq(TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))))
+    val schema = BatchRunner.windowed(spark, wl, spark.emptyDataset[PaneResult]).schema
+    assert(schema == StructType(Seq(
+      StructField("queryId", StringType, nullable = true),
+      StructField("grp", StringType, nullable = true),
+      StructField("windowInstance", LongType, nullable = false),
+      StructField("windowEndPane", LongType, nullable = false),
+      StructField("value", DoubleType, nullable = true))))
+  }
+
+  /** Plain Scala roll-up: (query, group, window instance) → (end pane, value). */
+  private def reference(wl: CompiledWorkload,
+                        rows: Seq[PaneResult]): Map[(String, String, Long), (Long, Option[Double])] = {
+    val byId = wl.queries.map(q => q.id -> q).toMap
+    val acc = mutable.HashMap.empty[(String, String, Long), PaneAgg]
+    for (r <- rows; q = byId(r.queryId); wi <- 0L to r.pane / q.slidePanes
+         if wi * q.slidePanes + q.windowPanes > r.pane) {
+      val a = PaneAgg(r.c, r.n, r.s, r.mn, r.mx)
+      acc((r.queryId, r.grp, wi)) = acc.get((r.queryId, r.grp, wi)).fold(a)(_ + a)
+    }
+    acc.map { case (k @ (qid, _, wi), a) =>
+      val q = byId(qid)
+      val v = q.q.agg match {
+        case Agg.CountStar => Some(a.c)
+        case Agg.CountE(_) => Some(a.n)
+        case Agg.Sum(_, _) => Some(a.s)
+        case Agg.Avg(_, _) => if (a.n == 0.0) None else Some(a.s / a.n)
+        case Agg.Min(_, _) => if (a.mn.isInfinite) None else Some(a.mn)
+        case Agg.Max(_, _) => if (a.mx.isInfinite) None else Some(a.mx)
+      }
+      k -> (wi * q.slidePanes + q.windowPanes, v)
+    }.toMap
+  }
+
+  for (seed <- 0 until 4) {
+    test(s"random pane rows roll up as the plain Scala reference does (seed $seed)") {
+      import spark.implicits._
+      val rnd = new Random(seed)
+      val aggs = Seq(Agg.CountStar, Agg.CountE("B"), Agg.Sum("B", "v"), Agg.Avg("B", "v"),
+        Agg.Min("B", "v"), Agg.Max("B", "v"))
+      val wl = Workload.compile(aggs.zipWithIndex.map { case (agg, i) =>
+        val slide = 1 + rnd.nextInt(3)
+        TrendQuery(s"q$i", Pattern.seq("A", "B+"), agg, window = QueryWindow(slide * (1 + rnd.nextInt(4)), slide))
+      })
+      // Several groups, each query with a random subset of 12 panes (gaps),
+      // and panes without a trend (empty MIN/MAX) or without a B (n = 0).
+      val rows = for {
+        q <- wl.queries; g <- Seq("g0", "g1", "g2"); p <- 0L until 12L if rnd.nextInt(3) > 0
+      } yield {
+        val c = rnd.nextInt(4).toDouble
+        val n = if (c == 0 || rnd.nextInt(4) == 0) 0.0 else 1.0 + rnd.nextInt(5)
+        val lo = rnd.nextGaussian() * 100
+        if (n == 0) pr(q.id, g, p, c)
+        else pr(q.id, g, p, c, n, s = lo * n + rnd.nextDouble(), mn = lo, mx = lo + rnd.nextDouble() * 50)
+      }
+      val got = BatchRunner.windowed(spark, wl, spark.createDataset(rows)).collect()
+        .map(r => (r.getString(0), r.getString(1), r.getLong(2)) ->
+          (r.getLong(3), Option(r.getAs[java.lang.Double](4))))
+      val want = reference(wl, rows)
+      assert(got.length == want.size && got.map(_._1).toSet == want.keySet)
+      got.foreach { case (k, (end, v)) =>
+        val (wantEnd, wantV) = want(k)
+        assert(end == wantEnd, s"$k")
+        (v.map(_.doubleValue()), wantV) match {
+          case (Some(a), Some(b)) => assert(math.abs(a - b) <= 1e-6 * math.max(1.0, math.abs(b)), s"$k: $a vs $b")
+          case (a, b)             => assert(a == b, s"$k")
+        }
+      }
+      assert(want.values.exists(_._2.isEmpty), "no null value was exercised")
+    }
   }
 }
