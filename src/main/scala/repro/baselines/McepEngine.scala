@@ -4,9 +4,9 @@ import scala.collection.mutable
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.ChannelSpec
+import repro.hamlet.ChannelLayout
 import repro.metrics.Metrics
-import repro.query.CompiledQuery
+import repro.query.{CompiledQuery, TypeIds}
 
 /** A baseline's per-query aggregates for one (group, pane), and whether it
   * hit its safety cap (the aggregates are then lower bounds).
@@ -38,25 +38,27 @@ object McepEngine {
   ): PaneOut = {
     val t0 = System.nanoTime()
     val k = queries.size
-    val channels = ChannelSpec.forQueries(queries)
-    val nCh = channels.size
-    val universe = queries.flatMap(_.tpl.typeUniverse).toSet
-    val evs = events.filter(e => universe.contains(e.typ)).toArray
+    val types = queries.head.types
+    val layout = new ChannelLayout(queries, types)
+    val nCh = layout.size
+    val universe = queries.foldLeft(0L)(_ | _.universeMask)
+    // The events any query references, each with its type id.
+    val kept = events.iterator.map(e => (e, types.of(e.typ)))
+      .filter { case (_, t) => t >= 0 && TypeIds.has(universe, t) }.toArray
+    val evs = kept.map(_._1)
+    val tid = kept.map(_._2)
     val n = evs.length
 
     // Per-query matched flags and negation indices.
-    val matched = Array.tabulate(k, n)((qi, i) => queries(qi).q.matches(evs(i)))
+    val matched = Array.tabulate(k, n)((qi, i) => queries(qi).matches(evs(i), tid(i)))
     // Trailing negation: for query qi, ids (indices) of matched neg events.
-    val trailNeg: Array[Array[Int]] = queries.indices.map { qi =>
-      val negs = queries(qi).tpl.trailingNegs
-      evs.indices.filter(i => negs.contains(evs(i).typ) && matched(qi)(i)).toArray
-    }.toArray
+    val trailNeg: Array[Array[Int]] = Array.tabulate(k) { qi =>
+      (0 until n).filter(i => TypeIds.has(queries(qi).trailingMask, tid(i)) && matched(qi)(i)).toArray
+    }
     // Mid negation: (query, barrier) -> sorted indices of matched neg events.
-    val midNeg: Array[Array[Array[Int]]] = queries.indices.map { qi =>
-      queries(qi).tpl.midNegs.map { nb =>
-        evs.indices.filter(i => evs(i).typ == nb.negType && matched(qi)(i)).toArray
-      }.toArray
-    }.toArray
+    val midNeg: Array[Array[Array[Int]]] = Array.tabulate(k) { qi =>
+      queries(qi).negTid.map(nt => (0 until n).filter(i => tid(i) == nt && matched(qi)(i)).toArray)
+    }
 
     def hasBetween(sorted: Array[Int], lo: Int, hi: Int): Boolean = {
       // any index strictly between lo and hi
@@ -70,19 +72,17 @@ object McepEngine {
     // Edge validity of (i -> j) for query qi: transition + predicates +
     // edge predicate (Kleene-adjacent pairs) + mid-neg barriers.
     def edgeOk(qi: Int, i: Int, j: Int): Boolean = {
-      val tpl = queries(qi).tpl
-      val (ft, tt) = (evs(i).typ, evs(j).typ)
-      if (!tpl.transitions.contains((ft, tt))) return false
+      val cq = queries(qi)
+      val (ft, tt) = (tid(i), tid(j))
+      if (!TypeIds.has(cq.predMask(tt), ft)) return false
       if (!matched(qi)(j)) return false
-      queries(qi).q.edgePred match {
+      cq.q.edgePred match {
         case Some(ep) if ft == tt => if (!ep(evs(i), evs(j))) return false
         case _                    =>
       }
-      val negs = queries(qi).tpl.midNegs
       var b = 0
-      while (b < negs.length) {
-        val nb = negs(b)
-        if (nb.fromTypes.contains(ft) && nb.toTypes.contains(tt) &&
+      while (b < cq.negTid.length) {
+        if (TypeIds.has(cq.negFrom(b), ft) && TypeIds.has(cq.negTo(b), tt) &&
             hasBetween(midNeg(qi)(b), i, j)) return false
         b += 1
       }
@@ -100,27 +100,24 @@ object McepEngine {
     val trend = mutable.ArrayBuffer.empty[Int]
 
     def completeFor(qi: Int, last: Int): Unit = {
-      if (!queries(qi).tpl.endTypes.contains(evs(last).typ)) return
+      val cq = queries(qi)
+      if (!TypeIds.has(cq.endMask, tid(last))) return
       if (hasAfter(trailNeg(qi), last)) return
-      val q = queries(qi)
       finals(qi)(0) += 1.0
       // Aggregate the constructed trend (the "second step").
       var ch = 1
       while (ch < nCh) {
-        val spec = channels(ch)
         var acc = 0.0
-        trend.foreach { i =>
-          if (spec.injType.contains(evs(i).typ)) acc += spec.injection(evs(i))
-        }
+        trend.foreach { i => if (layout.injTid(ch) == tid(i)) acc += layout.injection(evs(i), ch) }
         finals(qi)(ch) += acc
         ch += 1
       }
-      q.q.agg match {
-        case repro.query.Agg.Min(t, a) =>
-          trend.foreach(i => if (evs(i).typ == t) finMin(qi) = math.min(finMin(qi), evs(i).num.getOrElse(a, Double.PositiveInfinity)))
-        case repro.query.Agg.Max(t, a) =>
-          trend.foreach(i => if (evs(i).typ == t) finMax(qi) = math.max(finMax(qi), evs(i).num.getOrElse(a, Double.NegativeInfinity)))
-        case _ =>
+      // MIN and MAX both track the two extremes (see PaneAgg).
+      if (cq.minMaxTid >= 0) trend.foreach { i =>
+        if (tid(i) == cq.minMaxTid) evs(i).num.get(cq.minMaxAttr).foreach { x =>
+          finMin(qi) = math.min(finMin(qi), x)
+          finMax(qi) = math.max(finMax(qi), x)
+        }
       }
     }
 
@@ -155,7 +152,7 @@ object McepEngine {
       var any = false
       var qi = 0
       while (qi < k) {
-        if (queries(qi).tpl.startTypes.contains(evs(i).typ) && matched(qi)(i)) {
+        if (TypeIds.has(queries(qi).startMask, tid(i)) && matched(qi)(i)) {
           init(qi) = true; any = true
         }
         qi += 1
@@ -177,7 +174,7 @@ object McepEngine {
     metrics.observeBytes(n.toLong * 48 + peakDepth.toLong * 16 + k.toLong * nCh * 8)
 
     val aggs = queries.zipWithIndex.map { case (q, qi) =>
-      q.id -> ChannelSpec.reader(channels, q.q.agg).read(finals(qi), finMin(qi), finMax(qi))
+      q.id -> layout.reader(q).read(finals(qi), finMin(qi), finMax(qi))
     }.toMap
     PaneOut(aggs, truncated)
   }

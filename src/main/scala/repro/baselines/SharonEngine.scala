@@ -2,9 +2,9 @@ package repro.baselines
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.ChannelSpec
+import repro.hamlet.ChannelLayout
 import repro.metrics.Metrics
-import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq}
+import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq, TypeIds}
 
 /** Sharon-style baseline [35]: *online* aggregation of **fixed-length**
   * event sequences (no Kleene closure). As in the paper's methodology
@@ -20,14 +20,17 @@ import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq}
   */
 object SharonEngine {
 
-  /** Positive linear item sequence of a flattenable pattern:
+  /** Positive linear item sequence of a flattenable pattern, as type ids:
     * (preTypes, kleeneType, postTypes). Mid/trailing negation positions are
-    * handled via the compiled template's barriers.
+    * handled via the compiled query's barriers. Edge predicates and MIN/MAX
+    * cannot be evaluated on prefix counts and are rejected.
     */
-  private def flattenShape(cq: CompiledQuery): (Vector[String], String, Vector[String]) = {
-    def atoms(p: repro.query.Pattern): Vector[Either[String, String]] = p match {
-      case PEvent(t)   => Vector(Left(t))
-      case PKleene(PEvent(t)) => Vector(Right(t))
+  private def flattenShape(cq: CompiledQuery): (Vector[Int], Int, Vector[Int]) = {
+    require(cq.q.edgePred.isEmpty, s"${cq.id}: Sharon flattening cannot apply an edge predicate")
+    require(cq.minMaxAttr == null, s"${cq.id}: Sharon prefix counts cannot track MIN/MAX")
+    def atoms(p: repro.query.Pattern): Vector[Either[Int, Int]] = p match {
+      case PEvent(t)   => Vector(Left(cq.types.of(t)))
+      case PKleene(PEvent(t)) => Vector(Right(cq.types.of(t)))
       case PSeq(items) => items.toVector.flatMap(atoms)
       case PNot(_)     => Vector.empty
       case other => throw new IllegalArgumentException(s"Sharon flattening unsupported for $other")
@@ -42,46 +45,61 @@ object SharonEngine {
 
   /** @param fixedLen static flatten length l per §6.1 methodology (the
     *                 estimated longest match, fixed for the workload at
-    *                 compile time); None derives it per pane (charitable)
+    *                 compile time); each pane flattens to at least its own
+    *                 count of Kleene events, so 0 derives it per pane
     */
   def processPane(
       queries: Seq[CompiledQuery],
       events: Seq[Event],
       metrics: Metrics,
+      fixedLen: Int,
       maxLen: Int = 64,
-      fixedLen: Option[Int] = None,
   ): PaneOut = {
     val t0 = System.nanoTime()
-    val channels = ChannelSpec.forQueries(queries)
-    val nCh = channels.size
+    val types = queries.head.types
+    val layout = new ChannelLayout(queries, types)
+    val nCh = layout.size
+    val evs = events.toArray
+    val tids = evs.map(ev => types.of(ev.typ))
     var truncated = false
     val out = Map.newBuilder[String, PaneAgg]
 
     queries.foreach { cq =>
       val (pre, e, post) = flattenShape(cq)
-      val universe = cq.tpl.typeUniverse
-      val evs = events.filter(ev => universe.contains(ev.typ))
-      val nE = evs.count(ev => ev.typ == e && cq.q.matches(ev))
-      val L = math.min(math.max(fixedLen.getOrElse(nE), math.max(nE, 1)), maxLen)
+      val idx = evs.indices.filter(i => tids(i) >= 0 && TypeIds.has(cq.universeMask, tids(i)))
+      val nE = idx.count(i => tids(i) == e && cq.matches(evs(i), e))
+      val L = math.min(math.max(fixedLen, math.max(nE, 1)), maxLen)
       if (nE > maxLen) truncated = true
 
       // Variant j has positions: pre ++ (e × j) ++ post, 1 <= j <= L.
       // cnt(v)(i) = matched prefixes of length i (cnt(v)(0) = 1 virtual);
       // chans(v)(ch)(i) = channel totals over those prefixes.
       val lens = Array.tabulate(L)(j => pre.length + (j + 1) + post.length)
-      val posType: Array[Array[String]] = Array.tabulate(L) { j =>
+      val posType: Array[Array[Int]] = Array.tabulate(L) { j =>
         (pre ++ Vector.fill(j + 1)(e) ++ post).toArray
       }
       val cnt = Array.tabulate(L)(j => { val a = new Array[Double](lens(j) + 1); a(0) = 1.0; a })
       val chans = Array.tabulate(L)(j => Array.fill(nCh - 1)(new Array[Double](lens(j) + 1)))
 
-      val barriers = cq.tpl.midNegs
+      // Whether a matched event of type `tid` blocks the edge from stage
+      // type `from` to stage type `to` (a mid-pattern NOT between them).
+      def blocks(tid: Int, from: Int, to: Int): Boolean = {
+        var b = 0
+        while (b < cq.negTid.length) {
+          if (cq.negTid(b) == tid && TypeIds.has(cq.negFrom(b), from) && TypeIds.has(cq.negTo(b), to)) return true
+          b += 1
+        }
+        false
+      }
 
-      evs.foreach { ev =>
-        val matched = cq.q.matches(ev)
-        val isTrailNeg = matched && cq.tpl.trailingNegs.contains(ev.typ)
-        val isPos = matched && cq.tpl.types.contains(ev.typ)
-        val negs = if (matched) barriers.filter(_.negType == ev.typ) else Nil
+      val negMask = cq.negTid.foldLeft(0L)((m, t) => m | (1L << t))
+      idx.foreach { x =>
+        val ev = evs(x)
+        val tid = tids(x)
+        val matched = cq.matches(ev, tid)
+        val isTrailNeg = matched && TypeIds.has(cq.trailingMask, tid)
+        val isPos = matched && TypeIds.has(cq.typesMask, tid)
+        val isNeg = matched && TypeIds.has(negMask, tid)
         // A pattern-final NOT resets before a same-type event ends new trends.
         if (isTrailNeg) {
           var j = 0
@@ -91,7 +109,7 @@ object SharonEngine {
             j += 1
           }
         }
-        if (isPos || negs.nonEmpty) {
+        if (isPos || isNeg) {
           var j = 0
           while (j < L) {
             val pt = posType(j)
@@ -102,18 +120,16 @@ object SharonEngine {
               // i+1 already read them (edges into the negating event stay
               // valid); the event's own extension to stage i is added after
               // the reset (edges out of it stay valid too).
-              if (negs.nonEmpty && i < lens(j) &&
-                  negs.exists(nb => nb.fromTypes.contains(pt(i - 1)) && nb.toTypes.contains(pt(i)))) {
+              if (isNeg && i < lens(j) && blocks(tid, pt(i - 1), pt(i))) {
                 cnt(j)(i) = 0.0
                 var ch = 0; while (ch < nCh - 1) { chans(j)(ch)(i) = 0.0; ch += 1 }
               }
-              if (isPos && pt(i - 1) == ev.typ) {
+              if (isPos && pt(i - 1) == tid) {
                 val add = cnt(j)(i - 1)
                 cnt(j)(i) += add
                 var ch = 1
                 while (ch < nCh) {
-                  val spec = channels(ch)
-                  val inj = if (spec.injType.contains(ev.typ)) spec.injection(ev) else 0.0
+                  val inj = if (layout.injTid(ch) == tid) layout.injection(ev, ch) else 0.0
                   chans(j)(ch - 1)(i) += chans(j)(ch - 1)(i - 1) + inj * add
                   ch += 1
                 }
@@ -134,8 +150,7 @@ object SharonEngine {
         while (ch < nCh) { chTot(ch) += chans(j)(ch - 1)(lens(j)); ch += 1 }
       }
       metrics.observeBytes(lens.map(l => (l + 1).toLong * nCh * 8).sum)
-      out += cq.id -> ChannelSpec.reader(channels, cq.q.agg)
-        .read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
+      out += cq.id -> layout.reader(cq).read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
     }
     metrics.wallNanos += System.nanoTime() - t0
     PaneOut(out.result(), truncated)

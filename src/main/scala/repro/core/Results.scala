@@ -6,18 +6,23 @@ package repro.core
   * c/n/s and min/max-combines mn/mx; see
   * [[repro.spark.BatchRunner.windowed]]):
   * COUNT(*) = c, COUNT(E) = n, SUM = s, AVG = s/n, MIN = mn, MAX = mx.
+  *
+  * For a MIN or a MAX query every engine fills both `mn` and `mx` over the
+  * aggregated type's events that occur in some trend; for any other query
+  * they stay +∞ and −∞ (no value).
   */
 final case class PaneAgg(c: Double, n: Double, s: Double, mn: Double, mx: Double) {
   def +(o: PaneAgg): PaneAgg =
     PaneAgg(c + o.c, n + o.n, s + o.s, math.min(mn, o.mn), math.max(mx, o.mx))
 
-  /** Every channel equals `o`'s up to a relative 1e-6 (infinities exactly):
-    * engines that sum in a different order agree in this sense.
+  /** Every channel equals `o`'s up to a relative 1e-6, and an infinite
+    * channel only the same infinity: engines that sum in a different order
+    * agree in this sense.
     */
   def agrees(o: PaneAgg): Boolean = {
     def close(u: Double, v: Double) =
-      (u.isInfinite && v.isInfinite && u == v) ||
-        math.abs(u - v) <= 1e-6 * math.max(1.0, math.max(math.abs(u), math.abs(v)))
+      if (u.isInfinite || v.isInfinite) u == v
+      else math.abs(u - v) <= 1e-6 * math.max(1.0, math.max(math.abs(u), math.abs(v)))
     close(c, o.c) && close(n, o.n) && close(s, o.s) && close(mn, o.mn) && close(mx, o.mx)
   }
 }

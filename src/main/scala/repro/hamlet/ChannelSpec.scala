@@ -2,6 +2,7 @@ package repro.hamlet
 
 import repro.core.PaneAgg
 import repro.events.Event
+import repro.hamlet.ChannelSpec.{AttrSum, EventCount, TrendCount}
 import repro.query.{Agg, CompiledQuery, TypeIds}
 
 /** One aggregate channel carried by an engine: the trend count, the count
@@ -9,10 +10,6 @@ import repro.query.{Agg, CompiledQuery, TypeIds}
   * type's events over all trends.
   */
 sealed trait ChannelSpec extends Serializable {
-  /** Event type whose events inject into this channel (None for the trend
-    * count: every event's own count injects there).
-    */
-  def injType: Option[String]
   /** What an event of the injection type adds per unit of its own count. */
   def injection(e: Event): Double
 }
@@ -21,24 +18,21 @@ object ChannelSpec {
 
   /** COUNT(*): channel 0 of every layout. */
   case object TrendCount extends ChannelSpec {
-    def injType: Option[String] = None
     def injection(e: Event): Double = 1.0
   }
 
   /** COUNT(typ), and the denominator of AVG. */
   final case class EventCount(typ: String) extends ChannelSpec {
-    def injType: Option[String] = Some(typ)
     def injection(e: Event): Double = 1.0
   }
 
   /** SUM(typ.attr), and the numerator of AVG. */
   final case class AttrSum(typ: String, attr: String) extends ChannelSpec {
-    def injType: Option[String] = Some(typ)
     def injection(e: Event): Double = e.num.getOrElse(attr, 0.0)
   }
 
   /** Channels an aggregate needs besides the trend count. */
-  private def of(a: Agg): Seq[ChannelSpec] = a match {
+  private[hamlet] def of(a: Agg): Seq[ChannelSpec] = a match {
     case Agg.CountStar     => Nil
     case Agg.CountE(t)     => Seq(EventCount(t))
     case Agg.Sum(t, at)    => Seq(AttrSum(t, at))
@@ -46,35 +40,27 @@ object ChannelSpec {
     case Agg.Min(_, _) | Agg.Max(_, _) => Nil // tracked by dedicated min/max scalars
   }
 
-  private def order(c: ChannelSpec): (Int, String, String) = c match {
+  private[hamlet] def order(c: ChannelSpec): (Int, String, String) = c match {
     case TrendCount       => (0, "", "")
     case EventCount(t)    => (1, t, "")
     case AttrSum(t, attr) => (2, attr, t)
   }
-
-  /** Channel layout for a set of queries executed by one engine: the trend
-    * count first, then the union of the members' channels.
-    */
-  def forQueries(qs: Seq[CompiledQuery]): Vector[ChannelSpec] =
-    TrendCount +: qs.flatMap(q => of(q.q.agg)).distinct.sortBy(order).toVector
-
-  /** Where aggregate `a` sits in an accumulator laid out as `specs`. */
-  def reader(specs: Seq[ChannelSpec], a: Agg): AggReader =
-    of(a).foldLeft(AggReader(-1, -1)) {
-      case (r, c: EventCount) => r.copy(nIdx = specs.indexOf(c))
-      case (r, c: AttrSum)    => r.copy(sIdx = specs.indexOf(c))
-      case (r, TrendCount)    => r
-    }
 }
 
-/** The channel layout of a set of queries resolved against the workload's
-  * type ids: channel `ch` (≥ 1) takes an injection from every event whose
-  * type id is `injTid(ch)`.
+/** The channel layout of a set of queries executed by one engine, resolved
+  * against the workload's type ids: the trend count first, then the union
+  * of the members' channels. Channel `ch` (≥ 1) takes an injection from
+  * every event whose type id is `injTid(ch)`.
   */
 final class ChannelLayout(qs: Seq[CompiledQuery], types: TypeIds) extends Serializable {
-  val specs: Vector[ChannelSpec] = ChannelSpec.forQueries(qs)
+  val specs: Vector[ChannelSpec] =
+    TrendCount +: qs.flatMap(q => ChannelSpec.of(q.q.agg)).distinct.sortBy(ChannelSpec.order).toVector
   val size: Int = specs.size
-  val injTid: Array[Int] = specs.map(_.injType.fold(-1)(types.of)).toArray
+  val injTid: Array[Int] = specs.map {
+    case TrendCount       => -1
+    case EventCount(t)    => types.of(t)
+    case AttrSum(t, _)    => types.of(t)
+  }.toArray
   private val specArr: Array[ChannelSpec] = specs.toArray
 
   /** What event `e` injects into channel `ch`, per unit of its own count. */
@@ -92,7 +78,12 @@ final class ChannelLayout(qs: Seq[CompiledQuery], types: TypeIds) extends Serial
   }
 
   /** Where query `cq`'s aggregate sits in a channel accumulator. */
-  def reader(cq: CompiledQuery): AggReader = ChannelSpec.reader(specs, cq.q.agg)
+  def reader(cq: CompiledQuery): AggReader =
+    ChannelSpec.of(cq.q.agg).foldLeft(AggReader(-1, -1)) {
+      case (r, c: EventCount) => r.copy(nIdx = specs.indexOf(c))
+      case (r, c: AttrSum)    => r.copy(sIdx = specs.indexOf(c))
+      case (r, TrendCount)    => r
+    }
 }
 
 /** Channel indices of a query's event count and attribute sum (-1 when its

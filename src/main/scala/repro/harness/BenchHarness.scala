@@ -136,7 +136,7 @@ object BenchHarness {
       .maxOption.getOrElse(1)
     val jobs = wl.queries.map { q =>
       val call: Call = (evs, metrics, emit) =>
-        baseline(SharonEngine.processPane(Seq(q), evs, metrics, maxLen, Some(fixedLen)), emit)
+        baseline(SharonEngine.processPane(Seq(q), evs, metrics, fixedLen, maxLen), emit)
       instances(q) -> call
     }
     replay("SHARON", events, parts, jobs, peakScale = wl.queries.map(instances).sum)

@@ -2,7 +2,7 @@ package repro.harness
 
 import repro.events.{Event, StreamGen}
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
-import repro.query.{CompiledWorkload, TrendQuery, Workload}
+import repro.query.Workload
 
 /** The evaluation-section experiments (§6.2), shared by the bench suites
   * and the spark-submit jobs. Each function replays a generated stream
@@ -12,8 +12,6 @@ import repro.query.{CompiledWorkload, TrendQuery, Workload}
 object Experiments {
 
   final case class Row(dataset: String, evPerMin: Int, k: Int, res: RunResult)
-
-  private def compile(qs: Seq[TrendQuery]): CompiledWorkload = Workload.compile(qs)
 
   /** Untruncated runs of the same setting agree on every result channel. */
   def checkAgreement(rows: Seq[Row]): Unit =
@@ -45,7 +43,7 @@ object Experiments {
       // Figure 1's queries use large window/slide ratios (30 min / 1 min);
       // 12/1 keeps the overlapping-window re-processing factor realistic
       // for the baselines while staying inside the bench time budget.
-      val wl = compile(Workloads.ridesharingW1(k, windowMin = 12, slideMin = 1))
+      val wl = Workload.compile(Workloads.ridesharingW1(k, windowMin = 12, slideMin = 1))
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events),
         BenchHarness.runGreta(wl, events),
@@ -75,10 +73,10 @@ object Experiments {
       val (events, wl) =
         if (ds == "NYC-Taxi")
           (StreamGen.taxiLike(minutes = 6, epm, nDistricts = 10),
-           compile(Workloads.taxiW1(k, windowMin = 10, slideMin = 1)))
+           Workload.compile(Workloads.taxiW1(k, windowMin = 10, slideMin = 1)))
         else
           (StreamGen.smartHomeLike(minutes = 3, epm, nPlugs = math.max(50, epm / 25)),
-           compile(Workloads.smartHomeW1(k, windowMin = 10, slideMin = 1)))
+           Workload.compile(Workloads.smartHomeW1(k, windowMin = 10, slideMin = 1)))
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events),
         BenchHarness.runGreta(wl, events),
@@ -108,7 +106,7 @@ object Experiments {
       // average ~120 events within a pane as reported for the stock data
       // set in §6.2.
       val events = StreamGen.stockLike(minutes, epm, nCompanies = math.max(25, epm / 40))
-      val wl = compile(Workloads.stockW2(k))
+      val wl = Workload.compile(Workloads.stockW2(k))
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events, name = "HAMLET-dynamic"),
         BenchHarness.runHamlet(wl, AlwaysShare, events, name = "HAMLET-static"),

@@ -38,7 +38,7 @@ object Workloads {
 
   /** Stock workload 2: sharable `P+` with per-query volume thresholds
     * (the divergence source), windows 4–20 min over a 2-min pane, and a
-    * mix of COUNT(*) / SUM / AVG / COUNT(E) / MAX aggregates.
+    * mix of COUNT(*) / SUM(P.price) / AVG(P.price) aggregates.
     */
   def stockW2(k: Int): Vector[TrendQuery] =
     (0 until k).toVector.map { i =>

@@ -106,28 +106,3 @@ object Template {
     )
   }
 }
-
-/** Merged Hamlet query template for a whole workload (§3.1, Figure 3(b)):
-  * each type appears once; each transition is labeled with the queries for
-  * which it holds.
-  */
-final case class MergedTemplate(
-    types: Set[String],
-    transitions: Map[(String, String), Set[String]],
-) {
-  /** Queries holding the Kleene self-loop on `t` (gray transition in
-    * Figure 3(b)) — candidates for sharing `t+` (Definition 4).
-    */
-  def kleeneQueries(t: String): Set[String] = transitions.getOrElse((t, t), Set.empty)
-}
-
-object MergedTemplate {
-  def fromTemplates(ts: Seq[Template]): MergedTemplate =
-    MergedTemplate(
-      types = ts.flatMap(_.types).toSet,
-      transitions = ts
-        .flatMap(t => t.transitions.map(_ -> t.queryId))
-        .groupMap(_._1)(_._2)
-        .view.mapValues(_.toSet).toMap,
-    )
-}

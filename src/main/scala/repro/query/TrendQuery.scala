@@ -44,7 +44,6 @@ sealed trait Pred {
   def typ: String
   /** The condition itself, for an event known to be of type `typ`. */
   def holds(e: Event): Boolean
-  def accepts(e: Event): Boolean = e.typ != typ || holds(e)
 }
 /** Numeric comparison `E.attr op v` with op in <, <=, >, >=, =, !=. The op
   * is resolved when the predicate is built; an unknown op is rejected there.
@@ -103,9 +102,4 @@ final case class TrendQuery(
       * whether the edge from e' to e holds for this query.
       */
     edgePred: Option[(Event, Event) => Boolean] = None,
-) {
-  /** Whether event `e` satisfies all predicates of this query (events of
-    * types without predicates always pass).
-    */
-  def matches(e: Event): Boolean = preds.forall(_.accepts(e))
-}
+)

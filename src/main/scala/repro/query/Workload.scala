@@ -56,7 +56,9 @@ final case class CompiledQuery(
   private val predsOf: Array[Array[Pred]] =
     Array.tabulate(types.size)(t => q.preds.filter(_.typ == types.names(t)).toArray)
 
-  /** `q.matches(e)` for an event whose type id is `tid`. */
+  /** Whether event `e`, whose type id is `tid`, satisfies every predicate
+    * on its type (events of types without predicates always pass).
+    */
   def matches(e: Event, tid: Int): Boolean = {
     val ps = predsOf(tid)
     var i = 0

@@ -54,7 +54,7 @@ class BaselinesSpec extends AnyFunSuite {
   test("Sharon: flatten-length cap reports truncation") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
     val events = ev(0, "A") +: (1 to 10).map(i => ev(i.toLong, "B"))
-    val out = SharonEngine.processPane(Engines.compile(Seq(q)).queries, events, new Metrics, maxLen = 3)
+    val out = SharonEngine.processPane(Engines.compile(Seq(q)).queries, events, new Metrics, fixedLen = 0, maxLen = 3)
     assert(out.truncated)
   }
 
@@ -62,7 +62,28 @@ class BaselinesSpec extends AnyFunSuite {
     val q = TrendQuery("q", PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B"))))),
       window = QueryWindow(4, 2))
     intercept[IllegalArgumentException] {
-      SharonEngine.processPane(Engines.compile(Seq(q)).queries, Seq(ev(0, "A")), new Metrics)
+      SharonEngine.processPane(Engines.compile(Seq(q)).queries, Seq(ev(0, "A")), new Metrics, fixedLen = 0)
+    }
+  }
+
+  // Prefix counts hold no per-event values: brute force gives 5 trends for
+  // a rising B and a MIN of 3 on this stream; Sharon must refuse both.
+  private val abbb = Seq(ev(0, "A"), ev(1, "B", 5), ev(2, "B", 3), ev(3, "B", 8))
+
+  test("Sharon rejects edge predicates") {
+    val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2),
+      edgePred = Some((a: Event, b: Event) => b.num("v") > a.num("v")))
+    assert(Engines.brute(Seq(q), abbb)(q.id).c == 5.0)
+    val e = intercept[IllegalArgumentException](Engines.sharon(Seq(q), abbb))
+    assert(e.getMessage.contains("edge predicate"))
+  }
+
+  test("Sharon rejects MIN and MAX") {
+    for (agg <- Seq(Agg.Min("B", "v"), Agg.Max("B", "v"))) {
+      val q = TrendQuery("q", Pattern.seq("A", "B+"), agg, window = QueryWindow(4, 2))
+      assert(Engines.brute(Seq(q), abbb)(q.id).mn == 3.0)
+      val e = intercept[IllegalArgumentException](Engines.sharon(Seq(q), abbb))
+      assert(e.getMessage.contains("MIN/MAX"))
     }
   }
 
@@ -118,7 +139,7 @@ class BaselinesSpec extends AnyFunSuite {
     val cq = Engines.compile(Seq(q)).queries
     def ops(n: Int): Long = {
       val m = new Metrics
-      SharonEngine.processPane(cq, ev(0, "A") +: (1 to n).map(i => ev(i.toLong, "B")), m, maxLen = 512)
+      SharonEngine.processPane(cq, ev(0, "A") +: (1 to n).map(i => ev(i.toLong, "B")), m, fixedLen = 0, maxLen = 512)
       m.evalOps
     }
     val (small, large) = (ops(10), ops(40))

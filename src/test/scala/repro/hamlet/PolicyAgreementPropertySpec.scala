@@ -17,9 +17,12 @@ import repro.testkit.{Engines, TestGen}
   * predicate thresholds, edge predicates, aggregates) and random streams,
   * `NeverShare`, `AlwaysShare`, `Dynamic()` and the Greta baseline (every
   * query alone on its own engine) agree on every `PaneAgg` channel, and on
-  * tiny inputs all four agree with the brute-force enumerator.
+  * tiny inputs all four, the MCEP baseline, and the Sharon baseline on the
+  * queries it supports agree with the brute-force enumerator.
   */
 class PolicyAgreementPropertySpec extends AnyFunSuite {
+
+  private val nested = PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B")))))
 
   private val shapes: Vector[(Pattern, Boolean)] = Vector( // (pattern, has mid-pattern negation)
     Pattern.seq("A", "B+") -> false,
@@ -27,7 +30,7 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
     Pattern.seq("A", "B+", "C") -> false,
     Pattern.seq("B+") -> false,
     Pattern.seq("B+", "D") -> false,
-    PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B"))))) -> false,
+    nested -> false,
     Pattern.seq("A", "B+", "!D") -> false,
     Pattern.seq("C", "B+", "!A") -> false,
     Pattern.seq("A", "!C", "B+") -> true,
@@ -89,12 +92,22 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
     }, runs = 300)
   }
 
+  /** Sharon flattens one `E+` into prefix counts: no nested Kleene, no
+    * edge predicate, no MIN/MAX.
+    */
+  private def sharonSupports(q: TrendQuery): Boolean = q.pattern != nested && q.edgePred.isEmpty &&
+    (q.agg match { case Agg.Min(_, _) | Agg.Max(_, _) => false; case _ => true })
+
   test("on tiny inputs every policy equals brute force") {
     check(Prop.forAll(caseGen(12)) { case (qs, events) =>
       val expected = Engines.brute(qs, events)
-      engines.foreach { case (name, run) =>
+      (engines :+ ("mcep" -> (Engines.mcep(_, _)))).foreach { case (name, run) =>
         Engines.assertSame(run(qs, events), expected, s"$name vs brute force, $qs")
       }
+      val flat = qs.filter(sharonSupports)
+      if (flat.nonEmpty)
+        Engines.assertSame(Engines.sharon(flat, events), expected.filter { case (id, _) => flat.exists(_.id == id) },
+          s"sharon vs brute force, $flat")
       true
     }, runs = 300)
   }

@@ -72,26 +72,4 @@ class PatternTemplateSpec extends AnyFunSuite {
   test("pattern with no positive start is rejected") {
     intercept[IllegalArgumentException](tpl(PSeq(List(PNot("A")))))
   }
-
-  test("merged template labels transitions with their queries (Figure 3(b))") {
-    val t1 = Template.compile(TrendQuery("q1", Pattern.seq("A", "B+"), window = QueryWindow(4, 2)))
-    val t2 = Template.compile(TrendQuery("q2", Pattern.seq("C", "B+"), window = QueryWindow(4, 2)))
-    val m = MergedTemplate.fromTemplates(Seq(t1, t2))
-    assert(m.transitions(("B", "B")) == Set("q1", "q2"))
-    assert(m.transitions(("A", "B")) == Set("q1"))
-    assert(m.transitions(("C", "B")) == Set("q2"))
-    assert(m.kleeneQueries("B") == Set("q1", "q2"))
-    assert(m.types == Set("A", "B", "C"))
-  }
-
-  test("merged template of nested Kleene workload (Example 10)") {
-    val t1 = Template.compile(TrendQuery("q1",
-      PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B"))))), window = QueryWindow(4, 2)))
-    val t2 = Template.compile(TrendQuery("q2",
-      PKleene(PSeq(List(PEvent("C"), PKleene(PEvent("B"))))), window = QueryWindow(4, 2)))
-    val m = MergedTemplate.fromTemplates(Seq(t1, t2))
-    assert(m.transitions(("B", "A")) == Set("q1"))
-    assert(m.transitions(("B", "C")) == Set("q2"))
-    assert(m.transitions(("B", "B")) == Set("q1", "q2"))
-  }
 }

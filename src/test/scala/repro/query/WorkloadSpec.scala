@@ -2,7 +2,7 @@ package repro.query
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.hamlet.{ChannelSpec, EnginePlan}
+import repro.hamlet.{ChannelLayout, EnginePlan}
 import repro.hamlet.ChannelSpec.{AttrSum, EventCount, TrendCount}
 
 class WorkloadSpec extends AnyFunSuite {
@@ -84,7 +84,7 @@ class WorkloadSpec extends AnyFunSuite {
       q("q3", Pattern.seq("A", "B+"), Agg.Sum("B", "v")),
       q("q4", Pattern.seq("C", "B+"), Agg.Avg("B", "w")),
       q("q5", Pattern.seq("C", "B+"), Agg.CountE("B"))))
-    assert(ChannelSpec.forQueries(wl.sets.head.queries) ==
+    assert(new ChannelLayout(wl.sets.head.queries, wl.types).specs ==
       Vector(TrendCount, EventCount("B"), AttrSum("B", "v"), AttrSum("B", "w")))
   }
 
@@ -103,17 +103,17 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("channel layouts cover every aggregate") {
-    def channels(agg: Agg) =
-      ChannelSpec.forQueries(Workload.compile(Seq(q("a", Pattern.seq("A", "B+"), agg))).queries)
+    def layout(wl: CompiledWorkload) = new ChannelLayout(wl.queries, wl.types).specs
+    def channels(agg: Agg) = layout(Workload.compile(Seq(q("a", Pattern.seq("A", "B+"), agg))))
     assert(channels(Agg.CountStar) == Vector(TrendCount))
     assert(channels(Agg.CountE("B")) == Vector(TrendCount, EventCount("B")))
     assert(channels(Agg.Sum("B", "v")) == Vector(TrendCount, AttrSum("B", "v")))
     assert(channels(Agg.Avg("B", "v")) == Vector(TrendCount, EventCount("B"), AttrSum("B", "v")))
     assert(channels(Agg.Min("B", "v")) == Vector(TrendCount))
     // Counts of two types are two channels.
-    assert(ChannelSpec.forQueries(Workload.compile(Seq(
+    assert(layout(Workload.compile(Seq(
       q("a", Pattern.seq("A", "B+"), Agg.CountE("B")),
-      q("b", Pattern.seq("A", "B+"), Agg.CountE("A")))).queries) ==
+      q("b", Pattern.seq("A", "B+"), Agg.CountE("A"))))) ==
       Vector(TrendCount, EventCount("A"), EventCount("B")))
   }
 

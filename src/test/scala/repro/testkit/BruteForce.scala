@@ -16,7 +16,7 @@ object BruteForce {
   def trends(q: CompiledQuery, events: IndexedSeq[Event]): Vector[Vector[Int]] = {
     val n = events.size
     val tpl = q.tpl
-    def matched(i: Int) = q.q.matches(events(i))
+    def matched(i: Int) = q.q.preds.forall(p => events(i).typ != p.typ || p.holds(events(i)))
     def negBetween(lo: Int, hi: Int, negType: String): Boolean =
       ((lo + 1) until hi).exists(i => events(i).typ == negType && matched(i))
     def edgeOk(i: Int, j: Int): Boolean = {
@@ -54,17 +54,19 @@ object BruteForce {
     val ts = trends(q, events)
     def over(t: String, f: Event => Double): Double =
       ts.map(_.map(events).filter(_.typ == t).map(f).sum).sum
+    def extremes(t: String, a: String) = {
+      val vs = ts.flatMap(_.map(events).filter(_.typ == t).flatMap(_.num.get(a)))
+      if (vs.isEmpty) (0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+      else (0.0, 0.0, vs.min, vs.max)
+    }
     val (n, s, mn, mx) = q.q.agg match {
       case Agg.CountStar  => (0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
       case Agg.CountE(t)  => (over(t, _ => 1.0), 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
       case Agg.Sum(t, a)  => (0.0, over(t, _.num.getOrElse(a, 0.0)), Double.PositiveInfinity, Double.NegativeInfinity)
       case Agg.Avg(t, a)  => (over(t, _ => 1.0), over(t, _.num.getOrElse(a, 0.0)), Double.PositiveInfinity, Double.NegativeInfinity)
-      case Agg.Min(t, a)  =>
-        val vs = ts.flatMap(_.map(events).filter(_.typ == t).flatMap(_.num.get(a)))
-        (0.0, 0.0, if (vs.isEmpty) Double.PositiveInfinity else vs.min, Double.NegativeInfinity)
-      case Agg.Max(t, a)  =>
-        val vs = ts.flatMap(_.map(events).filter(_.typ == t).flatMap(_.num.get(a)))
-        (0.0, 0.0, Double.PositiveInfinity, if (vs.isEmpty) Double.NegativeInfinity else vs.max)
+      // MIN and MAX both track the two extremes (see PaneAgg).
+      case Agg.Min(t, a) => extremes(t, a)
+      case Agg.Max(t, a) => extremes(t, a)
     }
     PaneAgg(ts.size.toDouble, n, s, mn, mx)
   }

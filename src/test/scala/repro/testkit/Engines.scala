@@ -22,11 +22,14 @@ object Engines {
             metrics: Metrics = new Metrics): Map[String, PaneAgg] =
     GretaEngine(compile(qs)).processPaneAggs(events, metrics)
 
-  def mcep(qs: Seq[TrendQuery], events: Seq[Event]): Map[String, PaneAgg] =
-    McepEngine.processPane(compile(qs).queries, events, new Metrics).aggs
+  def mcep(qs: Seq[TrendQuery], events: Seq[Event]): Map[String, PaneAgg] = {
+    val out = McepEngine.processPane(compile(qs).queries, events, new Metrics)
+    require(!out.truncated, "MCEP enumeration truncated in a correctness test")
+    out.aggs
+  }
 
   def sharon(qs: Seq[TrendQuery], events: Seq[Event], maxLen: Int = 512): Map[String, PaneAgg] = {
-    val out = SharonEngine.processPane(compile(qs).queries, events, new Metrics, maxLen)
+    val out = SharonEngine.processPane(compile(qs).queries, events, new Metrics, fixedLen = 0, maxLen)
     require(!out.truncated, "Sharon flattening truncated in a correctness test")
     out.aggs
   }
