@@ -141,8 +141,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     }
     /** Predecessor input of a new event `e` of type `tid` into `out`: the
       * faithful walk over stored nodes plus the aggregate shared-close
-      * sums. Edge-pred queries skip the shared sums of their Kleene type —
-      * those events are materialized in `nodes` instead. Types with no
+      * sums. An edge-pred query has no shared-close sums — its shared
+      * events are materialized in `nodes` instead. Types with no
       * shared-close sum are skipped: their terms (and blocked parts) are 0.
       */
     def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
@@ -153,10 +153,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
-        if (!(hasEdge && T == sharedTid)) {
-          var ch = 0
-          while (ch < nCh) { out(ch) += cumNet(cumShared, blocked, T, tid, ch); ch += 1 }
-        }
+        var ch = 0
+        while (ch < nCh) { out(ch) += cumNet(cumShared, blocked, T, tid, ch); ch += 1 }
       }
     }
 
@@ -400,23 +398,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         val i = shMembers(mi)
         if (burstMatches(bi, i)) {
           val st = qs(i)
-          val base = new Array[Double](nCh)
+          val v = scratch
           if (st.hasEdge) {
             // Filtered predecessors via the per-query graph walk.
-            st.predecessorBase(e, tid, base)
+            st.predecessorBase(e, tid, v)
           } else {
             var ch = 0
-            while (ch < nCh) { base(ch) = sumEventValues(ch, i); ch += 1 }
+            while (ch < nCh) { v(ch) = sumEventValues(ch, i); ch += 1 }
           }
-          val o = snapSlot(snap, i)
-          val c = base(ChC) + (if (shStart(mi)) 1.0 else 0.0)
-          snapVals(o + ChC) = c
-          var ch = 1
-          while (ch < nCh) {
-            val inj = if (layout.injTid(ch) == tid) layout.injection(e, ch) else 0.0
-            snapVals(o + ch) = base(ch) + inj * c
-            ch += 1
-          }
+          if (shStart(mi)) v(ChC) += 1.0
+          layout.inject(e, tid, v)
+          System.arraycopy(v, 0, snapVals, snapSlot(snap, i), nCh)
         } // else: unmatched -> all-zero values (event invisible to i)
         mi += 1
       }

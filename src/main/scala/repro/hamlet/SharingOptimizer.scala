@@ -114,15 +114,8 @@ object SharingOptimizer {
         Decision(all, Double.PositiveInfinity, stats(1, 1, k), 1)
 
       case Dynamic(model) =>
-        // O(1) fast path (§4.2: the decision "simply plugs in locally
-        // available stream statistics"): without per-event predicates or
-        // edge predicates no event can diverge, so s_c = s_p = 1.
         val startFlags = queries.map(q => TypeIds.has(q.startMask, sharedTid))
         val startUniform = startFlags.distinct.size == 1
-        if (queries.forall(q => q.q.preds.isEmpty && q.q.edgePred.isEmpty) && startUniform) {
-          val st = stats(1, 1, k)
-          return Decision(all, model.benefit(st), st, 1)
-        }
         // Sample the burst for predicate divergence.
         val stride = math.max(1, burst.size / SampleCap)
         val sample = (0 until burst.size).by(stride)

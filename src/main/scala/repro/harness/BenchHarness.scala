@@ -119,9 +119,9 @@ object BenchHarness {
       peakScale = wl.queries.map(instances).sum)
   }
 
-  def runMcep(wl: CompiledWorkload, events: Seq[Event], maxVisits: Long = 20_000_000L): RunResult = {
+  def runMcep(wl: CompiledWorkload, events: Seq[Event]): RunResult = {
     val call: Call = (evs, metrics, emit) =>
-      baseline(McepEngine.processPane(wl.queries, evs, metrics, maxVisits), emit)
+      baseline(McepEngine.processPane(wl.queries, evs, metrics), emit)
     replay("MCEP", events, partition(events, wl.paneMs),
       Seq(wl.queries.map(instances).max -> call), peakScale = 1)
   }

@@ -10,31 +10,24 @@ import repro.query._
   */
 object Workloads {
 
+  /** `k` COUNT(*) queries cycling through `patterns`, named q0, q1, …. */
+  private def countStar(k: Int, patterns: Vector[Pattern], windowMin: Int, slideMin: Int): Vector[TrendQuery] =
+    (0 until k).toVector.map { i =>
+      TrendQuery(s"q$i", patterns(i % patterns.size), Agg.CountStar, Nil, QueryWindow(windowMin, slideMin))
+    }
+
   /** Ridesharing workload 1: k queries like q1–q3 of Figure 1 sharing T+. */
   def ridesharingW1(k: Int, windowMin: Int = 4, slideMin: Int = 1): Vector[TrendQuery] =
-    (0 until k).toVector.map { i =>
-      val pat = i % 4 match {
-        case 0 => Pattern.seq("R", "T+", "D")
-        case 1 => Pattern.seq("R", "T+", "C")
-        case 2 => Pattern.seq("R", "T+", "P")
-        case _ => Pattern.seq("R", "T+")
-      }
-      TrendQuery(s"q$i", pat, Agg.CountStar, Nil, QueryWindow(windowMin, slideMin))
-    }
+    countStar(k, Vector(Pattern.seq("R", "T+", "D"), Pattern.seq("R", "T+", "C"),
+      Pattern.seq("R", "T+", "P"), Pattern.seq("R", "T+")), windowMin, slideMin)
 
   /** Taxi workload for Figure 11 (overlapping windows stress Greta). */
   def taxiW1(k: Int, windowMin: Int = 10, slideMin: Int = 1): Vector[TrendQuery] =
-    (0 until k).toVector.map { i =>
-      val pat = if (i % 2 == 0) Pattern.seq("R", "T+", "D") else Pattern.seq("R", "T+")
-      TrendQuery(s"q$i", pat, Agg.CountStar, Nil, QueryWindow(windowMin, slideMin))
-    }
+    countStar(k, Vector(Pattern.seq("R", "T+", "D"), Pattern.seq("R", "T+")), windowMin, slideMin)
 
   /** Smart-home workload for Figure 11. */
   def smartHomeW1(k: Int, windowMin: Int = 10, slideMin: Int = 1): Vector[TrendQuery] =
-    (0 until k).toVector.map { i =>
-      val pat = if (i % 2 == 0) Pattern.seq("L", "M+", "H") else Pattern.seq("L", "M+")
-      TrendQuery(s"q$i", pat, Agg.CountStar, Nil, QueryWindow(windowMin, slideMin))
-    }
+    countStar(k, Vector(Pattern.seq("L", "M+", "H"), Pattern.seq("L", "M+")), windowMin, slideMin)
 
   /** Stock workload 2: sharable `P+` with per-query volume thresholds
     * (the divergence source), windows 4–20 min over a 2-min pane, and a

@@ -105,7 +105,7 @@ class StreamGenSpec extends AnyFunSuite {
   }
 
   test("stockLike: calm and scattered volume regimes alternate") {
-    val evs = StreamGen.stockLike(8, 2000, 20, regimeMinutes = 2)
+    val evs = StreamGen.stockLike(8, 2000, 20)
     val p = evs.filter(_.typ == "P")
     val calm = p.filter(e => (e.ts / 120_000L) % 2 == 0).map(_.num("volume"))
     val scat = p.filter(e => (e.ts / 120_000L) % 2 == 1).map(_.num("volume"))
