@@ -9,21 +9,22 @@ package repro.core
   * is query-independent; per-query values are obtained by substituting the
   * per-query snapshot values from the snapshot table.
   *
-  * Terms are keyed by a packed (snapshotId, channelIndex) — see
-  * [[LinExpr.key]] — because e.g. a sum-channel expression references the
-  * count-channel value of a snapshot (`s(e) = Σ s(e') + attr·c(e)`).
+  * Terms are keyed by an `Int` slot of the engine's snapshot table, one
+  * slot per (snapshot, channel) — a sum-channel expression references the
+  * count-channel value of a snapshot (`s(e) = Σ s(e') + attr·c(e)`). The
+  * engine owns the slot numbering; see `SetPaneEngine`.
   *
   * Stored as two parallel primitive arrays sorted by key. A key, once
   * added, stays a term even when its coefficient sums to zero, so `size`
   * counts the distinct keys ever added (only `* 0.0` drops them).
   */
-final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[Double])
+final class LinExpr private (val const: Double, keys: Array[Int], coefs: Array[Double])
     extends Serializable {
 
   /** Number of snapshot terms — the `s_p` factor of the cost model. */
   def size: Int = keys.length
   /** Key and coefficient of the i-th term, in key order. */
-  def keyAt(i: Int): Long     = keys(i)
+  def keyAt(i: Int): Int      = keys(i)
   def coefAt(i: Int): Double  = coefs(i)
 
   def +(o: LinExpr): LinExpr = {
@@ -44,24 +45,15 @@ final class LinExpr private (val const: Double, keys: Array[Long], coefs: Array[
 }
 
 object LinExpr {
-  private val NoKeys  = new Array[Long](0)
+  private val NoKeys  = new Array[Int](0)
   private val NoCoefs = new Array[Double](0)
 
   val zero: LinExpr = new LinExpr(0.0, NoKeys, NoCoefs)
 
-  /** Expression that is exactly one snapshot channel. */
-  def ofSnap(snapId: Long, chIdx: Int): LinExpr =
-    new LinExpr(0.0, Array(key(snapId, chIdx)), Array(1.0))
+  /** Expression that is exactly one snapshot-table slot. */
+  def ofSlot(slot: Int): LinExpr = new LinExpr(0.0, Array(slot), Array(1.0))
 
   def const(c: Double): LinExpr = new LinExpr(c, NoKeys, NoCoefs)
-
-  /** Pack (snapshot id, channel index); engines use < 8 channels. */
-  def key(snapId: Long, chIdx: Int): Long = {
-    require(chIdx >= 0 && chIdx < 8, s"channel index $chIdx out of range")
-    (snapId << 3) | chIdx.toLong
-  }
-  def snapOf(key: Long): Long = key >>> 3
-  def chanOf(key: Long): Int  = (key & 7L).toInt
 
   /** Running sum of expressions: each `+=` merges the sorted terms into a
     * pair of reused buffers, so summing n expressions allocates only the
@@ -70,9 +62,9 @@ object LinExpr {
   final class Builder {
     private var const = 0.0
     private var n = 0
-    private var ks = new Array[Long](16)
+    private var ks = new Array[Int](16)
     private var cs = new Array[Double](16)
-    private var ks2 = new Array[Long](16)
+    private var ks2 = new Array[Int](16)
     private var cs2 = new Array[Double](16)
 
     def clear(): Unit = { const = 0.0; n = 0 }
@@ -82,7 +74,7 @@ object LinExpr {
       val m = e.size
       if (m == 0) return
       if (ks2.length < n + m) {
-        ks2 = new Array[Long](2 * (n + m)); cs2 = new Array[Double](2 * (n + m))
+        ks2 = new Array[Int](2 * (n + m)); cs2 = new Array[Double](2 * (n + m))
       }
       var i = 0; var j = 0; var o = 0
       while (i < n || j < m) {

@@ -6,9 +6,10 @@ import repro.metrics.Metrics
 import repro.query.{CompiledQuery, TypeIds}
 
 /** Everything a [[SetPaneEngine]] needs that does not depend on the pane:
-  * the queries, the shared Kleene type's id, the channel layout, and the
-  * set's type universe. Built once per sharable set (or singleton query)
-  * when the executor is created.
+  * the queries, the shared Kleene type's id, the members' start flags and
+  * Eq. 8 constants for it, the channel layout, and the set's type
+  * universe. Built once per sharable set (or singleton query) when the
+  * executor is created.
   */
 final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[String]) extends Serializable {
   require(queries.nonEmpty, "an engine needs at least one query")
@@ -17,6 +18,13 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   val nT: Int = types.size
   /** Type id of the sharable Kleene type, -1 for a singleton engine. */
   val sharedTid: Int = sharedType.fold(-1)(types.of)
+  /** Per member: whether the shared type starts its pattern. */
+  val startsShared: Array[Boolean] =
+    queries.map(q => sharedTid >= 0 && TypeIds.has(q.startMask, sharedTid)).toArray
+  /** Eq. 8's p and t: the members' mean |pt(E, q)| and mean |types(q)|. */
+  val p: Double =
+    if (sharedTid < 0) 0.0 else queries.map(q => java.lang.Long.bitCount(q.predMask(sharedTid))).sum.toDouble / k
+  val t: Double = queries.map(q => java.lang.Long.bitCount(q.typesMask)).sum.toDouble / k
   val layout = new ChannelLayout(queries, types)
   val readers: Vector[AggReader] = queries.map(layout.reader)
   /** Types any member references: other events neither count nor end bursts. */
@@ -158,7 +166,6 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       }
     }
 
-    val isStartOfShared = sharedTid >= 0 && TypeIds.has(cq.startMask, sharedTid)
     val finalAcc = new Array[Double](nCh)
     var finalMin = Double.PositiveInfinity
     var finalMax = Double.NegativeInfinity
@@ -216,14 +223,11 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   // ------------------------------------------------------------------
   // Shared graphlet (linear expressions over snapshots)
   // ------------------------------------------------------------------
-  private var shActive  = false
   private var shMembers: Array[Int] = Array.emptyIntArray
   /** Per query: whether it is a member of the open graphlet. */
   private val isMember = new Array[Boolean](k)
-  /** Per member: its start flag for the shared type (fixed per graphlet). */
-  private var shStart: Array[Boolean] = Array.emptyBooleanArray
+  /** Whether the members' start flags for the shared type agree. */
   private var shStartUniform = true
-  private var shInput: Array[LinExpr] = _
   /** Expressions of the graphlet's stored events, `nCh` per event. */
   private var shExprs = if (sharable) new Array[LinExpr](64 * nCh) else null
   private var shCount = 0
@@ -231,34 +235,32 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private var shTerms = 0L
   private val sumBuilder = if (sharable) new LinExpr.Builder else null
 
-  /** Snapshot table S of the open graphlet: snapshot id `shSnapBase + s`
-    * → per query → per channel value, at `(s * k + q) * nCh + ch`.
-    * Snapshot ids are dense within a graphlet.
+  /** Snapshot table S of the open graphlet. Its snapshots are numbered
+    * from 0 (the graphlet-level one); snapshot `s` has the `LinExpr` slots
+    * `s * nCh + ch`, and member `q`'s value of slot `x` is at `x * k + q`.
     */
   private var snapVals = mergeTable(8 * k * nCh)
-  private var shSnapBase = 0L
-  private var nextSnap = 0L
+  /** Snapshots of the open graphlet; 0 while none is open. */
+  private var shSnaps = 0
+  private def shActive: Boolean = shSnaps > 0
+  /** The graphlet-input expressions: snapshot 0, channel by channel. */
+  private val shInput = if (sharable) Array.tabulate(nCh)(LinExpr.ofSlot) else null
 
-  private def liveSnaps: Int = if (shActive) (nextSnap - shSnapBase).toInt else 0
-
-  /** A new snapshot of the open graphlet, its values all zero. */
-  private def newSnap(): Long = {
-    val s = nextSnap; nextSnap += 1
-    val need = (s - shSnapBase + 1).toInt * k * nCh
+  /** A new all-zero snapshot of the open graphlet; returns its first slot. */
+  private def newSnap(): Int = {
+    val first = shSnaps * nCh
+    shSnaps += 1
+    val need = shSnaps * nCh * k
     if (need > snapVals.length) snapVals = java.util.Arrays.copyOf(snapVals, 2 * need)
-    s
+    java.util.Arrays.fill(snapVals, first * k, need, 0.0)
+    first
   }
-  private def snapSlot(snap: Long, q: Int): Int = ((snap - shSnapBase).toInt * k + q) * nCh
 
   private def evalExpr(expr: LinExpr, q: Int): Double = {
     metrics.evalOps += expr.size.toLong
     var acc = expr.const
     var i = 0
-    while (i < expr.size) {
-      val key = expr.keyAt(i)
-      acc += expr.coefAt(i) * snapVals(snapSlot(LinExpr.snapOf(key), q) + LinExpr.chanOf(key))
-      i += 1
-    }
+    while (i < expr.size) { acc += expr.coefAt(i) * snapVals(expr.keyAt(i) * k + q); i += 1 }
     acc
   }
 
@@ -280,9 +282,9 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     sumBuilder.result()
   }
 
-  /** Same walk, evaluated for one query (divergent events, Definition 9). */
-  private def sumEventValues(ch: Int, q: Int): Double = {
-    var acc = evalExpr(shInput(ch), q)
+  /** `acc0` plus query `q`'s stored-event values on channel `ch`, in store order. */
+  private def sumStoredValues(acc0: Double, ch: Int, q: Int): Double = {
+    var acc = acc0
     var j = 0
     while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), q); j += 1 }
     acc
@@ -294,10 +296,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     * node-walk cost.
     */
   private def openShared(members: Vector[Int], tid: Int): Unit = {
-    shSnapBase = nextSnap
-    shActive = true
-    val snap = newSnap()
-    java.util.Arrays.fill(snapVals, 0, k * nCh, 0.0)
+    newSnap() // snapshot 0: slots 0 until nCh
     members.foreach { i =>
       val st = qs(i)
       // Snapshot value from per-type aggregates (Definition 8 / Eq. 5):
@@ -305,23 +304,20 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       // of re-walking the per-query graphs. Uniformity at merge time makes
       // the unfiltered aggregate the right value for edge-pred queries too.
       val pm = st.cq.predMask(tid)
-      val o = snapSlot(snap, i)
       var m = pm
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
         var ch = 0
-        while (ch < nCh) { snapVals(o + ch) += st.cumNet(st.cumAll, st.blockedAll, T, tid, ch); ch += 1 }
+        while (ch < nCh) { snapVals(ch * k + i) += st.cumNet(st.cumAll, st.blockedAll, T, tid, ch); ch += 1 }
       }
       metrics.evalOps += java.lang.Long.bitCount(pm).toLong * nCh
     }
-    shInput = Array.tabulate(nCh)(ch => LinExpr.ofSnap(snap, ch))
     shCount = 0
     shTerms = 0L
     shMembers = members.toArray
     shMembers.foreach(isMember(_) = true)
-    shStart = shMembers.map(i => qs(i).isStartOfShared)
-    shStartUniform = shStart.distinct.length == 1
+    shStartUniform = shMembers.map(plan.startsShared(_)).distinct.length == 1
     metrics.snapshotsCreated += 1
     metrics.graphlets += 1
     metrics.sharedGraphlets += 1
@@ -340,10 +336,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       val v = scratch
       var ch = 0
       while (ch < nCh) {
-        var acc = 0.0
-        var j = 0
-        while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), i); j += 1 }
-        v(ch) = acc
+        v(ch) = sumStoredValues(0.0, ch, i)
         if (isEnd) st.finalAcc(ch) += v(ch)
         ch += 1
       }
@@ -357,7 +350,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       }
     }
     shMembers.foreach(isMember(_) = false)
-    shActive = false
+    shSnaps = 0
     shCount = 0
     shTerms = 0L
   }
@@ -379,7 +372,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
 
     val exprs = new Array[LinExpr](nCh)
     if (uniform) {
-      val start = if (shStart(0)) 1.0 else 0.0
+      val start = if (plan.startsShared(shMembers(0))) 1.0 else 0.0
       var ch = 0
       while (ch < nCh) { exprs(ch) = sumEventExprs(ch); ch += 1 }
       exprs(ChC) = exprs(ChC) + start
@@ -391,8 +384,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     } else {
       // Event-level snapshot (Definition 9): per-query values computed
       // eagerly, after which propagation continues shared.
-      val snap = newSnap()
-      java.util.Arrays.fill(snapVals, snapSlot(snap, 0), snapSlot(snap, k), 0.0)
+      val first = newSnap()
       var mi = 0
       while (mi < nm) {
         val i = shMembers(mi)
@@ -404,17 +396,18 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
             st.predecessorBase(e, tid, v)
           } else {
             var ch = 0
-            while (ch < nCh) { v(ch) = sumEventValues(ch, i); ch += 1 }
+            while (ch < nCh) { v(ch) = sumStoredValues(evalExpr(shInput(ch), i), ch, i); ch += 1 }
           }
-          if (shStart(mi)) v(ChC) += 1.0
+          if (plan.startsShared(i)) v(ChC) += 1.0
           layout.inject(e, tid, v)
-          System.arraycopy(v, 0, snapVals, snapSlot(snap, i), nCh)
+          var ch = 0
+          while (ch < nCh) { snapVals((first + ch) * k + i) = v(ch); ch += 1 }
         } // else: unmatched -> all-zero values (event invisible to i)
         mi += 1
       }
       metrics.snapshotsCreated += 1
       var ch = 0
-      while (ch < nCh) { exprs(ch) = LinExpr.ofSnap(snap, ch); ch += 1 }
+      while (ch < nCh) { exprs(ch) = LinExpr.ofSlot(first + ch); ch += 1 }
     }
     if ((shCount + 1) * nCh > shExprs.length) shExprs = java.util.Arrays.copyOf(shExprs, 2 * shExprs.length)
     System.arraycopy(exprs, 0, shExprs, shCount * nCh, nCh)
@@ -449,7 +442,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       i += 1
     }
     b += shCount * 48L + shTerms * 16L
-    b += liveSnaps.toLong * k * nCh * 8L
+    b += shSnaps.toLong * k * nCh * 8L
     b
   }
 
@@ -467,7 +460,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     if (tid == sharedTid && k > 1) {
       metrics.totalBursts += 1
       val t0 = System.nanoTime()
-      val dec = SharingOptimizer.decide(policy, queries, tid, burstMatches, nEvents)
+      val dec = SharingOptimizer.decide(policy, plan, burstMatches, nEvents)
       metrics.decisions += 1
       metrics.decisionNanos += System.nanoTime() - t0
       metrics.plansExamined += dec.plansExamined

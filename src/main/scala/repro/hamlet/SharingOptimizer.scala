@@ -83,8 +83,8 @@ object SharingOptimizer {
 
   /** Decide whether (and by which queries) to share a burst.
     *
-    * @param queries     the sharable set Q_E
-    * @param sharedTid   type id of the Kleene type E
+    * @param plan        the sharable set Q_E, its Kleene type E, the
+    *                    members' start flags for E and Eq. 8's p and t
     * @param burst       predicate outcomes of the complete burst of events
     *                    of type E (its `size` is the burst length b)
     * @param eventsSoFar events of this (group, pane) processed before the
@@ -92,16 +92,13 @@ object SharingOptimizer {
     */
   def decide(
       policy: SharingPolicy,
-      queries: Vector[CompiledQuery],
-      sharedTid: Int,
+      plan: EnginePlan,
       burst: MatchVector,
       eventsSoFar: Long,
   ): Decision = {
-    val k = queries.size
-    val all = queries.indices.toVector
+    import plan.{k, p, t}
+    val all = (0 until k).toVector
     val b = burst.size.toLong
-    val p = queries.map(q => java.lang.Long.bitCount(q.predMask(sharedTid))).sum.toDouble / k
-    val t = queries.map(q => java.lang.Long.bitCount(q.typesMask)).sum.toDouble / k
 
     def stats(sC: Long, sP: Long, kk: Int): BurstStats =
       BurstStats(b = b, n = eventsSoFar + b, g = b, k = kk, p = p, t = t, sC = sC, sP = sP)
@@ -114,7 +111,7 @@ object SharingOptimizer {
         Decision(all, Double.PositiveInfinity, stats(1, 1, k), 1)
 
       case Dynamic(model) =>
-        val startFlags = queries.map(q => TypeIds.has(q.startMask, sharedTid))
+        val startFlags = plan.startsShared
         val startUniform = startFlags.distinct.size == 1
         // Sample the burst for predicate divergence.
         val stride = math.max(1, burst.size / SampleCap)
@@ -147,7 +144,7 @@ object SharingOptimizer {
         // Re-estimate s_c for the chosen set (divergence w.r.t. the set).
         var divChosen = 0L
         if (chosen.size >= 2) {
-          val sUni = chosen.map(startFlags).distinct.size == 1
+          val sUni = chosen.map(startFlags(_)).distinct.size == 1
           sample.foreach { e =>
             val nm = chosen.count(i => burst(e, i))
             if ((nm != 0 && nm != chosen.size) || !sUni) divChosen += 1

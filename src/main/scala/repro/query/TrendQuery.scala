@@ -79,15 +79,14 @@ final case class QueryWindow(windowMin: Int, slideMin: Int) {
     s"window $windowMin must be a positive multiple of slide $slideMin")
 }
 
-/** An event trend aggregation query (Definition 2).
+/** An event trend aggregation query (Definition 2). Every query groups by
+  * the stream key: streams arrive pre-partitioned by `Event.grp`.
   *
   * @param id       unique name, e.g. "q1"
   * @param pattern  Kleene pattern (PATTERN clause)
   * @param agg      aggregate (RETURN clause)
   * @param preds    single-event predicates (WHERE clause)
   * @param window   WITHIN/SLIDE clause
-  * @param groupBy  grouping attribute name (informational; streams arrive
-  *                 pre-partitioned by the group value in `Event.grp`)
   */
 final case class TrendQuery(
     id: String,
@@ -95,7 +94,6 @@ final case class TrendQuery(
     agg: Agg = Agg.CountStar,
     preds: Seq[Pred] = Nil,
     window: QueryWindow = QueryWindow(10, 1),
-    groupBy: String = "grp",
     /** Optional per-query predicate on Kleene-adjacent event pairs (within
       * one graphlet), e.g. "price is rising" — the source of event-level
       * snapshots in Definition 9 / Table 5. `edgePred(e', e)` decides

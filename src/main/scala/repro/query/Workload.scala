@@ -102,7 +102,8 @@ object Workload {
     * Two queries are sharable (Def. 5) if they hold the same Kleene
     * sub-pattern E+, their aggregation share-classes match, their windows
     * overlap (always true for sliding windows over one stream), and their
-    * grouping attributes are equal. A query that negates its own Kleene type
+    * grouping attributes are equal (always true: every query groups by the
+    * stream key `Event.grp`). A query that negates its own Kleene type
     * E is never shared: a shared graphlet of E cannot apply that query's
     * own barrier or reset (documented narrowing of Def. 5, like MIN/MAX).
     */
@@ -131,12 +132,12 @@ object Workload {
           e   <- cq.q.pattern.kleeneTypes.headOption // one Kleene per query (§3 assumption)
           if !cq.tpl.trailingNegs(e) && !cq.tpl.midNegs.exists(_.negType == e)
           cls <- Agg.shareClass(cq.q.agg)
-        } yield (e, cls, cq.q.groupBy) -> cq
+        } yield (e, cls) -> cq
       }
       .groupMap(_._1)(_._2)
-      .collect { case ((e, _, _), members) if members.size > 1 => SharableSet(e, members) }
+      .collect { case ((e, _), members) if members.size > 1 => SharableSet(e, members) }
       .toVector
-      .sortBy(_.sharedType)
+      .sortBy(set => (set.sharedType, compiled.indexOf(set.queries.head))) // not hash order
     CompiledWorkload(paneMs, types, compiled, sharable)
   }
 }

@@ -52,6 +52,29 @@ class HamletEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("a sharable set may carry any number of channels (nine here)") {
+    // Eight SUMs over distinct attributes of the shared type: one count
+    // channel plus eight sum channels. Odd queries filter P, so AlwaysShare
+    // also takes event-level snapshots.
+    val qs = (0 until 8).map { i =>
+      TrendQuery(s"q$i", Pattern.seq("O", "P+"), Agg.Sum("P", s"a$i"),
+        preds = if (i % 2 == 1) Seq(NumPred("P", "a0", "<", 60)) else Nil, window = QueryWindow(4, 2))
+    }
+    assert(Engines.compile(qs).sets.map(_.queries.size) == Vector(8))
+    val rnd = new Random(8)
+    val events = (0 until 24).map { i =>
+      val typ = if (i % 6 == 0 || rnd.nextInt(5) == 0) "O" else "P"
+      Event(i.toLong, i * 10L, typ, "g", (0 until 8).map(a => s"a$a" -> rnd.nextInt(100).toDouble).toMap)
+    }
+    val expected = Engines.brute(qs, events)
+    Engines.assertSame(Engines.greta(qs, events), expected, "greta")
+    policies.foreach { case (name, p) =>
+      val m = new Metrics
+      Engines.assertSame(Engines.hamlet(qs, events, p, m), expected, s"policy=$name")
+      if (p == AlwaysShare) assert(m.sharedBursts > 0 && m.snapshotsCreated > m.sharedBursts)
+    }
+  }
+
   // --- Snapshot machinery --------------------------------------------
   test("uniform burst shared by all queries creates exactly one snapshot per graphlet") {
     val qs = Seq(

@@ -23,10 +23,10 @@ class SharingOptimizerSpec extends AnyFunSuite {
   /** Evaluate the burst's predicates once, then decide. */
   private def decide(policy: SharingPolicy, burst: IndexedSeq[Event], qs: Vector[CompiledQuery],
                      typ: String, eventsSoFar: Long): Decision = {
-    val tid = qs.head.types.of(typ)
+    val plan = new EnginePlan(qs, Some(typ))
     val matches = new MatchVector(qs.size)
-    matches.fill(qs, tid, burst.size)(burst)
-    SharingOptimizer.decide(policy, qs, tid, matches, eventsSoFar)
+    matches.fill(qs, plan.sharedTid, burst.size)(burst)
+    SharingOptimizer.decide(policy, plan, matches, eventsSoFar)
   }
 
   test("NeverShare never shares") {

@@ -8,8 +8,8 @@ import repro.hamlet.ChannelSpec.{AttrSum, EventCount, TrendCount}
 class WorkloadSpec extends AnyFunSuite {
 
   private def q(id: String, p: Pattern, agg: Agg = Agg.CountStar,
-                w: QueryWindow = QueryWindow(4, 2), grp: String = "grp") =
-    TrendQuery(id, p, agg, Nil, w, grp)
+                w: QueryWindow = QueryWindow(4, 2)) =
+    TrendQuery(id, p, agg, Nil, w)
 
   test("pane length is the gcd of all windows and slides (§3.1 example)") {
     assert(Workload.paneMinutes(Seq(
@@ -63,13 +63,6 @@ class WorkloadSpec extends AnyFunSuite {
       q("q2", Pattern.seq("C", "B+"), Agg.Min("B", "v"))))
     assert(wl.sets.isEmpty)
     assert(wl.singletons.size == 2)
-  }
-
-  test("different grouping attributes prevent sharing (Definition 5)") {
-    val wl = Workload.compile(Seq(
-      q("q1", Pattern.seq("A", "B+"), grp = "district"),
-      q("q2", Pattern.seq("C", "B+"), grp = "driver")))
-    assert(wl.sets.isEmpty)
   }
 
   test("queries without Kleene are singletons") {

@@ -4,7 +4,7 @@ import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
 import repro.core.PaneResult
-import repro.events.Event
+import repro.events.{Event, StreamGen}
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
 import repro.metrics.Metrics
 import repro.query._
@@ -89,8 +89,15 @@ class SparkBatchSpec extends SparkSpec {
   // ---- DuckDB oracle: trend counting as recursive path counting ------
   private def oracleCheck(q: TrendQuery, seed: Int, n: Int = 60): Unit = {
     val wl = Workload.compile(Seq(q))
-    val events = mkEvents(seed, n, 3, 2, wl.paneMs)
-    val cq = wl.queries.find(_.id == q.id).get
+    oracleCheckOn(wl, mkEvents(seed, n, 3, 2, wl.paneMs), numAttrs = Seq("v"))
+  }
+
+  /** The Spark runner's trend counts of `wl`'s single query over `events`
+    * against DuckDB's.
+    */
+  private def oracleCheckOn(wl: CompiledWorkload, events: Seq[Event],
+                            numAttrs: Seq[String] = Nil, strAttrs: Seq[String] = Nil): Unit = {
+    val cq = wl.queries.head
     val sparkDf = {
       import spark.implicits._
       BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
@@ -100,7 +107,7 @@ class SparkBatchSpec extends SparkSpec {
     Oracle.assertEquivalent(
       sparkDf,
       TrendSql.countSql(cq),
-      "events" -> TrendSql.eventsDf(spark, events, wl.paneMs, numAttrs = Seq("v")),
+      "events" -> TrendSql.eventsDf(spark, events, wl.paneMs, numAttrs, strAttrs),
       "trans" -> TrendSql.transitionsDf(spark, cq),
     )
   }
@@ -135,6 +142,30 @@ class SparkBatchSpec extends SparkSpec {
   test("oracle: predicates on multiple types") {
     oracleCheck(TrendQuery("q", Pattern.seq("A", "B+"),
       preds = Seq(NumPred("B", "v", ">", 20), NumPred("A", "v", "<", 80)), window = w42), 17)
+  }
+
+  test("oracle: string predicate, Figure 1's q1 SEQ(R, T+, D) with R.rtype = Pool") {
+    val q1 = TrendQuery("q1", Pattern.seq("R", "T+", "D"),
+      preds = Seq(StrPred("R", "rtype", "Pool")), window = w42)
+    val events = StreamGen.ridesharing(minutes = 6, eventsPerMin = 20, nGroups = 3,
+      meanKleene = 3, maxKleene = 6, seed = 5)
+    val rtypes = events.filter(_.typ == "R").flatMap(_.str.get("rtype")).toSet
+    assert(rtypes == Set("Pool", "Solo"))
+    oracleCheckOn(Workload.compile(Seq(q1)), events, strAttrs = Seq("rtype"))
+
+    // The same query next to a sibling that shares T+, per (group, pane).
+    val qs = Seq(q1, TrendQuery("q2", Pattern.seq("R", "T+", "C"), window = w42))
+    val wl = Workload.compile(qs)
+    assert(wl.sets.map(_.queries.size) == Vector(2))
+    var q1Trends = 0.0
+    events.groupBy(e => (e.grp, e.pane(wl.paneMs))).foreach { case (key, evs) =>
+      val expected = Engines.brute(qs, evs)
+      q1Trends += expected("q1").c
+      Seq(NeverShare, AlwaysShare, Dynamic()).foreach { p =>
+        Engines.assertSame(Engines.hamlet(qs, evs, p), expected, s"$key $p")
+      }
+    }
+    assert(q1Trends > 0)
   }
 
   for (seed <- 20 until 26) {

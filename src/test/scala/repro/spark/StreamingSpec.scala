@@ -104,7 +104,7 @@ class StreamingSpec extends SparkSpec {
     */
   private def randomSplits(rnd: Random, events: Vector[Event], paneMs: Long): Vector[Vector[Event]] = {
     val cuts = (0 +: Vector.fill(6)(rnd.nextInt(events.size)) :+ events.size).sorted
-    val batches = cuts.sliding(2).map { case Seq(a, b) => events.slice(a, b) }.toVector
+    val batches = cuts.zip(cuts.tail).map { case (a, b) => events.slice(a, b) }
     val newest = scala.collection.mutable.Map.empty[String, Long]
     var carry = Vector.empty[Event]
     batches.zipWithIndex.map { case (b, i) =>
