@@ -77,7 +77,7 @@ object McepEngine {
       if (!TypeIds.has(cq.predMask(tt), ft)) return false
       if (!matched(qi)(j)) return false
       cq.q.edgePred match {
-        case Some(ep) if ft == tt => if (!ep(evs(i), evs(j))) return false
+        case Some(ep) if ft == tt => if (!ep.holds(evs(i), evs(j))) return false
         case _                    =>
       }
       var b = 0

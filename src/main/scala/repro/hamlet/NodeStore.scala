@@ -82,7 +82,7 @@ final class NodeStore(cq: CompiledQuery, nCh: Int) {
   private def edgeOk(j: Int, e: Event, tid: Int): Boolean = {
     val p = evs(j)
     val ptid = tids(j)
-    if (edgePred != null && ptid == tid && !edgePred(p, e)) return false
+    if (edgePred != null && ptid == tid && !edgePred.holds(p, e)) return false
     var b = 0
     while (b < nB) {
       if (lastNeg(b) >= 0 && p.id < lastNeg(b) &&
@@ -98,7 +98,7 @@ final class NodeStore(cq: CompiledQuery, nCh: Int) {
   def edgeAllPass(e: Event, tid: Int): Boolean = {
     var j = 0
     while (j < n) {
-      if (tids(j) == tid && !edgePred(evs(j), e)) return false
+      if (tids(j) == tid && !edgePred.holds(evs(j), e)) return false
       j += 1
     }
     true

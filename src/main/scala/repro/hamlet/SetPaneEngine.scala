@@ -21,6 +21,9 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   /** Per member: whether the shared type starts its pattern. */
   val startsShared: Array[Boolean] =
     queries.map(q => sharedTid >= 0 && TypeIds.has(q.startMask, sharedTid)).toArray
+  /** Whether every member's start flag is the same, and the majority flag. */
+  val startUniform: Boolean = startsShared.distinct.length == 1
+  val startMajority: Boolean = startsShared.count(identity) * 2 >= k
   /** Eq. 8's p and t: the members' mean |pt(E, q)| and mean |types(q)|. */
   val p: Double =
     if (sharedTid < 0) 0.0 else queries.map(q => java.lang.Long.bitCount(q.predMask(sharedTid))).sum.toDouble / k

@@ -96,7 +96,7 @@ object SharingOptimizer {
       burst: MatchVector,
       eventsSoFar: Long,
   ): Decision = {
-    import plan.{k, p, t}
+    import plan.{k, p, startMajority, startUniform, t}
     val all = (0 until k).toVector
     val b = burst.size.toLong
 
@@ -112,7 +112,6 @@ object SharingOptimizer {
 
       case Dynamic(model) =>
         val startFlags = plan.startsShared
-        val startUniform = startFlags.distinct.size == 1
         // Sample the burst for predicate divergence.
         val stride = math.max(1, burst.size / SampleCap)
         val sample = (0 until burst.size).by(stride)
@@ -120,14 +119,13 @@ object SharingOptimizer {
 
         // Per-query divergence counts d(q): minority membership per event.
         val d = Array.fill(k)(0L)
-        val startMajority = startFlags.count(identity) * 2 >= k
         sample.foreach { e =>
           val nMatched = (0 until k).count(i => burst(e, i))
           val uniform = (nMatched == 0 || nMatched == k) && startUniform
           if (!uniform) {
             val majority = nMatched * 2 >= k
             for (i <- 0 until k)
-              if (burst(e, i) != majority || !startUniform && startFlags(i) != startMajority)
+              if (burst(e, i) != majority || startFlags(i) != startMajority)
                 d(i) += 1
           }
         }

@@ -4,9 +4,9 @@ import repro.events.{Event, StreamGen}
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
 import repro.query.Workload
 
-/** The evaluation-section experiments (§6.2), shared by the bench suites
-  * and the spark-submit jobs. Each function replays a generated stream
-  * through the relevant engines and returns one row per (setting, engine);
+/** The evaluation-section experiments (§6.2) that the bench suites run.
+  * Each function replays generated streams at fixed settings through the
+  * relevant engines and returns one row per (setting, engine);
   * EXPERIMENTS.md records the paper's numbers next to these.
   */
 object Experiments {
@@ -21,24 +21,17 @@ object Experiments {
         s"engines disagree at $key: ${exact.map(r => r.res.name -> r.res.total)}")
     }
 
-  /** Figures 9/10: Hamlet vs MCEP vs Greta vs Sharon on Ridesharing
-    * ("low setting" so the baselines terminate), varying events/min and
-    * the number of queries.
+  /** Figures 9/10: Hamlet vs MCEP vs Greta vs Sharon on 4 minutes of
+    * Ridesharing ("low setting" so the baselines terminate): 10k and 20k
+    * events/min at 15 queries, and 5, 15 and 25 queries at 10k events/min.
     */
-  def fig9(
-      minutes: Int = 4,
-      epms: Seq[Int] = Seq(10_000, 20_000),
-      ks: Seq[Int] = Seq(5, 15, 25),
-      defaultK: Int = 15,
-      defaultEpm: Int = 10_000,
-  ): Seq[Row] = {
-    val settings =
-      (epms.map(e => (e, defaultK)) ++ ks.map(k => (defaultEpm, k))).distinct
+  def fig9(): Seq[Row] = {
+    val settings = (Seq(10_000, 20_000).map(e => (e, 15)) ++ Seq(5, 15, 25).map(k => (10_000, k))).distinct
     settings.flatMap { case (epm, k) =>
       // Many small groups and bounded trip lengths keep the two-step
       // baseline's exponential enumeration finite — the paper's "low
       // setting" chosen "to ensure MCEP/Greta/Sharon terminate" (§6.2).
-      val events = StreamGen.ridesharing(minutes, epm,
+      val events = StreamGen.ridesharing(minutes = 4, epm,
         nGroups = math.max(400, epm / 2), meanKleene = 2.5, maxKleene = 7)
       // Figure 1's queries use large window/slide ratios (30 min / 1 min);
       // 12/1 keeps the overlapping-window re-processing factor realistic
@@ -57,26 +50,21 @@ object Experiments {
 
   /** Figure 11: Hamlet vs Greta on the NYC-Taxi-like and Smart-Home-like
     * streams with strongly overlapping windows (the high setting the
-    * two-step/flattened baselines cannot sustain).
+    * two-step/flattened baselines cannot sustain). Each data set runs three
+    * rates at 50 queries and 10, 30 and 50 queries at its middle rate:
+    * 100, 200 and 400 events/min for taxi, 2k, 5k and 10k for smart home.
     */
-  def fig11(
-      taxiEpms: Seq[Int] = Seq(100, 200, 400),
-      shEpms: Seq[Int] = Seq(2_000, 5_000, 10_000),
-      ks: Seq[Int] = Seq(10, 30, 50),
-      defaultK: Int = 50,
-  ): Seq[Row] = {
-    val taxi = taxiEpms.map(e => ("NYC-Taxi", e, defaultK)) ++
-      ks.map(k => ("NYC-Taxi", taxiEpms(1), k))
-    val sh = shEpms.map(e => ("Smart-Home", e, defaultK)) ++
-      ks.map(k => ("Smart-Home", shEpms(1), k))
-    (taxi ++ sh).distinct.flatMap { case (ds, epm, k) =>
+  def fig11(): Seq[Row] = {
+    def settings(ds: String, epms: Seq[Int]) =
+      epms.map(e => (ds, e, 50)) ++ Seq(10, 30, 50).map(k => (ds, epms(1), k))
+    val all = (settings("NYC-Taxi", Seq(100, 200, 400)) ++ settings("Smart-Home", Seq(2_000, 5_000, 10_000))).distinct
+    all.flatMap { case (ds, epm, k) =>
       val (events, wl) =
         if (ds == "NYC-Taxi")
-          (StreamGen.taxiLike(minutes = 6, epm, nDistricts = 10),
-           Workload.compile(Workloads.taxiW1(k, windowMin = 10, slideMin = 1)))
+          (StreamGen.taxiLike(minutes = 6, epm, nDistricts = 10), Workload.compile(Workloads.taxiW1(k)))
         else
           (StreamGen.smartHomeLike(minutes = 3, epm, nPlugs = math.max(50, epm / 25)),
-           Workload.compile(Workloads.smartHomeW1(k, windowMin = 10, slideMin = 1)))
+           Workload.compile(Workloads.smartHomeW1(k)))
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events),
         BenchHarness.runGreta(wl, events),
@@ -86,26 +74,20 @@ object Experiments {
     }
   }
 
-  /** Figures 12/13: dynamic vs static sharing decisions on the Stock
-    * stream (workload 2: diverse windows/aggregates/predicates; the volume
-    * regime flips make static always-share pay snapshot maintenance when
-    * it should split).
+  /** Figures 12/13: dynamic vs static sharing decisions on 8 minutes of
+    * the Stock stream (workload 2: diverse windows/aggregates/predicates;
+    * the volume regime flips make static always-share pay snapshot
+    * maintenance when it should split): 2k, 3k and 4k events/min at 60
+    * queries, and 20, 60 and 100 queries at 2k events/min.
     */
-  def fig12(
-      minutes: Int = 8,
-      epms: Seq[Int] = Seq(2_000, 3_000, 4_000),
-      ks: Seq[Int] = Seq(20, 60, 100),
-      defaultK: Int = 60,
-      defaultEpm: Int = 2_000,
-  ): Seq[Row] = {
-    val settings =
-      (epms.map(e => (e, defaultK)) ++ ks.map(k => (defaultEpm, k))).distinct
+  def fig12(): Seq[Row] = {
+    val settings = (Seq(2_000, 3_000, 4_000).map(e => (e, 60)) ++ Seq(20, 60, 100).map(k => (2_000, k))).distinct
     settings.flatMap { case (epm, k) =>
       // Companies sized so per-(company, pane) tick counts stay far from
       // Double overflow (trend counts double per Kleene event); bursts
       // average ~120 events within a pane as reported for the stock data
       // set in §6.2.
-      val events = StreamGen.stockLike(minutes, epm, nCompanies = math.max(25, epm / 40))
+      val events = StreamGen.stockLike(minutes = 8, epm, nCompanies = math.max(25, epm / 40))
       val wl = Workload.compile(Workloads.stockW2(k))
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events, name = "HAMLET-dynamic"),

@@ -22,12 +22,12 @@ object Workloads {
       Pattern.seq("R", "T+", "P"), Pattern.seq("R", "T+")), windowMin, slideMin)
 
   /** Taxi workload for Figure 11 (overlapping windows stress Greta). */
-  def taxiW1(k: Int, windowMin: Int = 10, slideMin: Int = 1): Vector[TrendQuery] =
-    countStar(k, Vector(Pattern.seq("R", "T+", "D"), Pattern.seq("R", "T+")), windowMin, slideMin)
+  def taxiW1(k: Int): Vector[TrendQuery] =
+    countStar(k, Vector(Pattern.seq("R", "T+", "D"), Pattern.seq("R", "T+")), windowMin = 10, slideMin = 1)
 
   /** Smart-home workload for Figure 11. */
-  def smartHomeW1(k: Int, windowMin: Int = 10, slideMin: Int = 1): Vector[TrendQuery] =
-    countStar(k, Vector(Pattern.seq("L", "M+", "H"), Pattern.seq("L", "M+")), windowMin, slideMin)
+  def smartHomeW1(k: Int): Vector[TrendQuery] =
+    countStar(k, Vector(Pattern.seq("L", "M+", "H"), Pattern.seq("L", "M+")), windowMin = 10, slideMin = 1)
 
   /** Stock workload 2: sharable `P+` with per-query volume thresholds
     * (the divergence source), windows 4–20 min over a 2-min pane, and a

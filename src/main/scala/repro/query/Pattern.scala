@@ -3,9 +3,9 @@ package repro.query
 /** SASE-style Kleene pattern AST (Definition 1).
   *
   * The evaluated query class (assumptions of §3, relaxed in §5) is built
-  * from event types, SEQ, Kleene plus, and NOT inside SEQ. Disjunction and
-  * conjunction are supported at the aggregate level via
-  * [[repro.general.Composition]] (§5), as in the paper.
+  * from event types, SEQ, Kleene plus, and NOT inside SEQ. §5's
+  * disjunction and conjunction are not expressible (DESIGN.md, Known
+  * deviations).
   */
 sealed trait Pattern {
   /** All (positive) event types appearing in this pattern. */

@@ -49,24 +49,48 @@ sealed trait Pred {
   * is resolved when the predicate is built; an unknown op is rejected there.
   */
 final case class NumPred(typ: String, attr: String, op: String, v: Double) extends Pred {
-  private val opCode: Int = NumPred.Ops.indexOf(op)
-  require(opCode >= 0, s"unknown comparison op '$op' in $typ.$attr (expected one of ${NumPred.Ops.mkString(" ")})")
+  private val opCode: Int = NumPred.opCode(op, s"$typ.$attr")
 
   def holds(e: Event): Boolean = e.num.get(attr) match {
     case None    => false
-    case Some(x) =>
-      (opCode: @switch) match {
-        case 0 => x < v
-        case 1 => x <= v
-        case 2 => x > v
-        case 3 => x >= v
-        case 4 => x == v
-        case _ => x != v
-      }
+    case Some(x) => NumPred.compare(opCode, x, v)
   }
 }
 object NumPred {
   val Ops: Vector[String] = Vector("<", "<=", ">", ">=", "=", "!=")
+
+  /** The code of comparison `op` (its index in `Ops`); `where` names the
+    * compared attribute in the error for an unknown op.
+    */
+  def opCode(op: String, where: String): Int = {
+    val code = Ops.indexOf(op)
+    require(code >= 0, s"unknown comparison op '$op' in $where (expected one of ${Ops.mkString(" ")})")
+    code
+  }
+
+  /** `x op y` for the op with code `opCode`. */
+  def compare(opCode: Int, x: Double, y: Double): Boolean = (opCode: @switch) match {
+    case 0 => x < y
+    case 1 => x <= y
+    case 2 => x > y
+    case 3 => x >= y
+    case 4 => x == y
+    case _ => x != y
+  }
+}
+/** Edge predicate `E.attr op NEXT(E).attr` on Kleene-adjacent events of one
+  * type (e.g. "price is rising": `EdgePred("price", "<")`), the source of
+  * event-level snapshots in Definition 9 / Table 5. The edge from e' to a
+  * later event e of the same type holds iff `e'.attr op e.attr`; an event
+  * without the attribute admits no such edge.
+  */
+final case class EdgePred(attr: String, op: String) {
+  private val opCode: Int = NumPred.opCode(op, s"edge predicate on $attr")
+
+  def holds(prev: Event, e: Event): Boolean = (prev.num.get(attr), e.num.get(attr)) match {
+    case (Some(x), Some(y)) => NumPred.compare(opCode, x, y)
+    case _                  => false
+  }
 }
 /** String equality `E.attr = v`. */
 final case class StrPred(typ: String, attr: String, v: String) extends Pred {
@@ -87,6 +111,7 @@ final case class QueryWindow(windowMin: Int, slideMin: Int) {
   * @param agg      aggregate (RETURN clause)
   * @param preds    single-event predicates (WHERE clause)
   * @param window   WITHIN/SLIDE clause
+  * @param edgePred predicate on same-type adjacent events (Definition 9)
   */
 final case class TrendQuery(
     id: String,
@@ -94,10 +119,5 @@ final case class TrendQuery(
     agg: Agg = Agg.CountStar,
     preds: Seq[Pred] = Nil,
     window: QueryWindow = QueryWindow(10, 1),
-    /** Optional per-query predicate on Kleene-adjacent event pairs (within
-      * one graphlet), e.g. "price is rising" — the source of event-level
-      * snapshots in Definition 9 / Table 5. `edgePred(e', e)` decides
-      * whether the edge from e' to e holds for this query.
-      */
-    edgePred: Option[(Event, Event) => Boolean] = None,
+    edgePred: Option[EdgePred] = None,
 )

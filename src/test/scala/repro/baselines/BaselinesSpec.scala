@@ -72,7 +72,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("Sharon rejects edge predicates") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2),
-      edgePred = Some((a: Event, b: Event) => b.num("v") > a.num("v")))
+      edgePred = Some(EdgePred("v", "<")))
     assert(Engines.brute(Seq(q), abbb)(q.id).c == 5.0)
     val e = intercept[IllegalArgumentException](Engines.sharon(Seq(q), abbb))
     assert(e.getMessage.contains("edge predicate"))

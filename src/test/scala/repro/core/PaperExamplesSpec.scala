@@ -19,11 +19,17 @@ class PaperExamplesSpec extends AnyFunSuite {
   private def ev(id: Long, typ: String): Event = Event(id, id * 10, typ, "g")
 
   /** Figure 4(b) stream: A1={a1,a2}, C2={c1}, B3={b3..b6},
-    * A4={a7,a8}, C5={c9,c10,c11}, B6={b12,...}.
+    * A4={a7,a8}, C5={c9,c10,c11}, B6={b12,...}. The B events carry `v`:
+    * 1, 3, 2, 4 for b3..b6 and 5, 6, ... from b12 on, so a rising `v`
+    * fails exactly one B-to-B edge, (b4, b5).
     */
   private def figure4(b6Size: Int): Vector[Event] = {
     val pre = Vector("A", "A", "C", "B", "B", "B", "B", "A", "A", "C", "C", "C")
-    (pre ++ Vector.fill(b6Size)("B")).zipWithIndex.map { case (t, i) => ev(i.toLong, t) }
+    def v(i: Int): Double = if (i < 12) Vector(1.0, 3.0, 2.0, 4.0)(i - 3) else (i - 7).toDouble
+    (pre ++ Vector.fill(b6Size)("B")).zipWithIndex.map {
+      case ("B", i) => ev(i.toLong, "B").copy(num = Map("v" -> v(i)))
+      case (t, i)   => ev(i.toLong, t)
+    }
   }
 
   private def run(qs: Seq[TrendQuery], events: Seq[Event], policy: SharingPolicy)
@@ -64,8 +70,8 @@ class PaperExamplesSpec extends AnyFunSuite {
   }
 
   test("Table 5: edge predicate for q2 creates event-level snapshot z=(8,2)") {
-    // Edge (b4, b5) holds for q1 but not q2: ids 4 -> 5.
-    val q2e = q2.copy(edgePred = Some((a: Event, b: Event) => !(a.id == 4L && b.id == 5L)))
+    // q2 requires a rising v: edge (b4, b5) holds for q1 but not q2.
+    val q2e = q2.copy(edgePred = Some(EdgePred("v", "<")))
     // Counts in B3 for q1: x,2x,z,4x+z = 2,4,8,16 (sum 30)
     //               for q2: 1,2,2,6 (sum 11)
     val (aggs, m) = run(Seq(q1, q2e), figure4(0).take(7), AlwaysShare)

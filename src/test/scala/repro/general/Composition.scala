@@ -7,6 +7,9 @@ package repro.general
   *
   *  - COUNT(P1 ∨ P2) = C1 + C2 + C12
   *  - COUNT(P1 ∧ P2) = C1·C2 + C1·C12 + C2·C12 + (C12 choose 2)
+  *
+  * No `Pattern` expresses OR or AND (DESIGN.md, Known deviations), so only
+  * the specs compose counts.
   */
 object Composition {
 

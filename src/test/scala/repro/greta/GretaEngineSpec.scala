@@ -102,8 +102,7 @@ class GretaEngineSpec extends AnyFunSuite {
   }
 
   test("edge predicate restricts Kleene adjacency") {
-    val q = seqAB.copy(edgePred = Some((a: Event, b: Event) =>
-      b.num.getOrElse("v", 0.0) > a.num.getOrElse("v", 0.0)))
+    val q = seqAB.copy(edgePred = Some(EdgePred("v", "<")))
     // b1(v=5), b2(v=3), b3(v=8): chains must increase:
     // (a,b1), (a,b2), (a,b3), (a,b1,b3), (a,b2,b3)
     val events = Seq(ev(0, "A"), ev(1, "B", 5), ev(2, "B", 3), ev(3, "B", 8))

@@ -202,7 +202,7 @@ class HamletEngineSpec extends AnyFunSuite {
   test("edge-predicate divergence inside a shared graphlet stays correct") {
     val q1 = TrendQuery("q1", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
     val q2 = TrendQuery("q2", Pattern.seq("A", "B+"), window = QueryWindow(4, 2),
-      edgePred = Some((a: Event, b: Event) => b.num.getOrElse("v", 0.0) >= a.num.getOrElse("v", 0.0)))
+      edgePred = Some(EdgePred("v", "<=")))
     val events = Seq(ev(0, "A"), ev(1, "B", 5), ev(2, "B", 3), ev(3, "B", 8), ev(4, "B", 1))
     val expected = Engines.brute(Seq(q1, q2), events)
     policies.foreach { case (name, p) =>

@@ -44,7 +44,7 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
   private val aggs: Vector[Agg] = Vector(Agg.CountStar, Agg.CountE("B"), Agg.Sum("B", "v"),
     Agg.Avg("B", "v"), Agg.Min("B", "v"), Agg.Max("B", "v"))
 
-  private val rising = (a: Event, b: Event) => b.num.getOrElse("v", 0.0) >= a.num.getOrElse("v", 0.0)
+  private val rising = EdgePred("v", "<=")
 
   private def queryGen(id: String): Gen[TrendQuery] =
     for {

@@ -111,9 +111,11 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("an unknown comparison op is rejected when the predicate is built") {
-    val e = intercept[IllegalArgumentException](NumPred("B", "v", "=>", 1.0))
-    assert(e.getMessage.contains("=>"))
-    NumPred.Ops.foreach(op => NumPred("B", "v", op, 1.0))
+    Seq(() => NumPred("B", "v", "=>", 1.0), () => EdgePred("v", "=>")).foreach { build =>
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("=>"))
+    }
+    NumPred.Ops.foreach { op => NumPred("B", "v", op, 1.0); EdgePred("v", op) }
   }
 
   test("MIN/MAX with mid-pattern negation is rejected when the workload compiles") {

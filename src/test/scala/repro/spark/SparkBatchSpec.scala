@@ -2,6 +2,8 @@ package repro.spark
 
 import scala.util.Random
 
+import org.apache.spark.sql.functions.col
+
 import repro.{Oracle, SparkSpec}
 import repro.core.PaneResult
 import repro.events.{Event, StreamGen}
@@ -92,24 +94,22 @@ class SparkBatchSpec extends SparkSpec {
     oracleCheckOn(wl, mkEvents(seed, n, 3, 2, wl.paneMs), numAttrs = Seq("v"))
   }
 
-  /** The Spark runner's trend counts of `wl`'s single query over `events`
+  /** The Spark runner's channels of each query of `wl` over `events`
     * against DuckDB's.
     */
   private def oracleCheckOn(wl: CompiledWorkload, events: Seq[Event],
                             numAttrs: Seq[String] = Nil, strAttrs: Seq[String] = Nil): Unit = {
-    val cq = wl.queries.head
-    val sparkDf = {
-      import spark.implicits._
-      BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
-        .filter(_.c > 0.0)
-        .select($"grp", $"pane", $"c")
+    val results = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
+    val eventsDf = TrendSql.eventsDf(spark, events, wl.paneMs, numAttrs, strAttrs)
+    wl.queries.foreach { cq =>
+      val cols = ("grp" +: "pane" +: TrendSql.channels(cq.q.agg)).map(col)
+      Oracle.assertEquivalent(
+        results.filter(r => r.queryId == cq.id && r.c > 0.0).select(cols: _*),
+        TrendSql.countSql(cq),
+        "events" -> eventsDf,
+        "trans" -> TrendSql.transitionsDf(spark, cq),
+      )
     }
-    Oracle.assertEquivalent(
-      sparkDf,
-      TrendSql.countSql(cq),
-      "events" -> TrendSql.eventsDf(spark, events, wl.paneMs, numAttrs, strAttrs),
-      "trans" -> TrendSql.transitionsDf(spark, cq),
-    )
   }
 
   test("oracle: SEQ(A, B+)") { oracleCheck(TrendQuery("q", Pattern.seq("A", "B+"), window = w42), 10) }
@@ -166,6 +166,32 @@ class SparkBatchSpec extends SparkSpec {
       }
     }
     assert(q1Trends > 0)
+  }
+
+  private val rising = EdgePred("v", "<")
+
+  test("oracle: edge predicate in a shared set, SEQ(A, B+) rising next to SEQ(C, B+)") {
+    val qs = Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+"), window = w42, edgePred = Some(rising)),
+      TrendQuery("q2", Pattern.seq("C", "B+"), window = w42))
+    val wl = Workload.compile(qs)
+    assert(wl.sets.map(_.queries.size) == Vector(2))
+    oracleCheckOn(wl, mkEvents(30, 120, 3, 2, wl.paneMs), numAttrs = Seq("v"))
+  }
+
+  // Each aggregate on B.v, with and without a rising edge predicate, next
+  // to a SEQ(C, B+) sibling (shared unless MIN/MAX, which never share).
+  for ((agg, seed) <- Seq(Agg.CountE("B"), Agg.Sum("B", "v"), Agg.Avg("B", "v"),
+                          Agg.Min("B", "v"), Agg.Max("B", "v")).zip(31 until 36)) {
+    test(s"oracle: $agg channels, with and without an edge predicate") {
+      for (edge <- Seq(None, Some(rising))) {
+        val wl = Workload.compile(Seq(
+          TrendQuery("q1", Pattern.seq("A", "B+"), agg, window = w42, edgePred = edge),
+          TrendQuery("q2", Pattern.seq("C", "B+"), agg, window = w42)))
+        assert(wl.sets.size == (if (Agg.shareClass(agg).isDefined) 1 else 0))
+        oracleCheckOn(wl, mkEvents(seed, 120, 3, 2, wl.paneMs), numAttrs = Seq("v"))
+      }
+    }
   }
 
   for (seed <- 20 until 26) {

@@ -23,7 +23,7 @@ object BruteForce {
       val (ft, tt) = (events(i).typ, events(j).typ)
       if (!tpl.transitions.contains((ft, tt))) return false
       q.q.edgePred match {
-        case Some(ep) if ft == tt => if (!ep(events(i), events(j))) return false
+        case Some(ep) if ft == tt => if (!ep.holds(events(i), events(j))) return false
         case _                    =>
       }
       tpl.midNegs.forall { nb =>

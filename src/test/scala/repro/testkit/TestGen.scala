@@ -33,11 +33,7 @@ object TestGen {
     val preds =
       if (rnd.nextBoolean()) Seq(NumPred("B", "v", ">", rnd.nextInt(80).toDouble))
       else Nil
-    val edge =
-      if (rnd.nextInt(4) == 0)
-        Some((a: Event, b: Event) =>
-          b.num.getOrElse("v", 0.0) >= a.num.getOrElse("v", 0.0))
-      else None
+    val edge = if (rnd.nextInt(4) == 0) Some(EdgePred("v", "<=")) else None
     TrendQuery(id, pat, Agg.CountStar, preds, QueryWindow(4, 2), edgePred = edge)
   }
 
