@@ -4,14 +4,9 @@ import scala.collection.mutable
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.ChannelLayout
+import repro.hamlet.EnginePlan
 import repro.metrics.Metrics
-import repro.query.{CompiledQuery, TypeIds}
-
-/** A baseline's per-query aggregates for one (group, pane), and whether it
-  * hit its safety cap (the aggregates are then lower bounds).
-  */
-final case class PaneOut(aggs: Map[String, PaneAgg], truncated: Boolean)
+import repro.query.TypeIds
 
 /** MCEP-style baseline [22]: the most recent *shared two-step* approach.
   * It shares event trend **construction** across queries, then aggregates
@@ -24,29 +19,24 @@ final case class PaneOut(aggs: Map[String, PaneAgg], truncated: Boolean)
   * query whose end type it reaches. Aggregates are computed from the
   * materialized trend (two-step), not incrementally.
   *
-  * `maxVisits` caps DFS steps so benches terminate; hitting the cap is
-  * reported (`truncated`) and the result is a lower bound (DESIGN.md,
-  * deviations).
+  * Built once per job from the plan of its queries. `maxVisits` caps DFS
+  * steps so benches terminate; hitting the cap adds 1 to
+  * `Metrics.truncations`, and that pane's results are lower bounds
+  * (DESIGN.md, deviations).
   */
-object McepEngine {
+final class McepEngine(plan: EnginePlan, maxVisits: Long = 20_000_000L) {
 
-  def processPane(
-      queries: Seq[CompiledQuery],
-      events: Seq[Event],
-      metrics: Metrics,
-      maxVisits: Long = 20_000_000L,
-  ): PaneOut = {
+  /** The aggregate of each query of the plan over one (group, pane), in
+    * plan order.
+    */
+  def processPane(events: Seq[Event], metrics: Metrics): Array[PaneAgg] = {
     val t0 = System.nanoTime()
-    val k = queries.size
-    val types = queries.head.types
-    val layout = new ChannelLayout(queries, types)
+    // Locals, not fields: the DFS reads them on every visit.
+    val (k, queries, layout, cap) = (plan.k, plan.queries, plan.layout, maxVisits)
     val nCh = layout.size
-    val universe = queries.foldLeft(0L)(_ | _.universeMask)
-    // The events any query references, each with its type id.
-    val kept = events.iterator.map(e => (e, types.of(e.typ)))
-      .filter { case (_, t) => t >= 0 && TypeIds.has(universe, t) }.toArray
-    val evs = kept.map(_._1)
-    val tid = kept.map(_._2)
+    // The events any query references, and their type ids.
+    val evs = events.filter { e => val t = plan.types.of(e.typ); t >= 0 && TypeIds.has(plan.universeMask, t) }.toArray
+    val tid = evs.map(e => plan.types.of(e.typ))
     val n = evs.length
 
     // Per-query matched flags and negation indices.
@@ -126,7 +116,7 @@ object McepEngine {
       var j = last + 1
       while (j < n && !truncated) {
         visits += 1
-        if (visits > maxVisits) { truncated = true; return }
+        if (visits > cap) { truncated = true; return }
         val next = new Array[Boolean](k)
         var any = false
         var qi = 0
@@ -172,10 +162,8 @@ object McepEngine {
     metrics.wallNanos += System.nanoTime() - t0
     metrics.evalOps += visits
     metrics.observeBytes(n.toLong * 48 + peakDepth.toLong * 16 + k.toLong * nCh * 8)
+    if (truncated) metrics.truncations += 1
 
-    val aggs = queries.zipWithIndex.map { case (q, qi) =>
-      q.id -> layout.reader(q).read(finals(qi), finMin(qi), finMax(qi))
-    }.toMap
-    PaneOut(aggs, truncated)
+    Array.tabulate(k)(qi => plan.readers(qi).read(finals(qi), finMin(qi), finMax(qi)))
   }
 }

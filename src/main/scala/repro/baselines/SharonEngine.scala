@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.ChannelLayout
+import repro.hamlet.EnginePlan
 import repro.metrics.Metrics
 import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq, TypeIds}
 
@@ -11,14 +11,24 @@ import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq, TypeIds}
   * (§6.1), each Kleene sub-pattern `E+` is flattened into fixed-length
   * sequence queries covering every length 1..L, where L is the longest
   * possible match (here: the number of E events in the pane, capped at
-  * `maxLen` for terminating benches — the cap is reported).
+  * `maxLen` for terminating benches; hitting the cap adds 1 to
+  * `Metrics.truncations`).
   *
   * Per flattened variant we keep A-Seq-style online prefix counts
   * (`cnt(i)` = matched prefixes of length i, skip-till-any-match), so a
   * single E event costs O(Σ_j j) = O(L²) per Kleene query — the overhead
   * that dominates Sharon on trend workloads (Figure 9 discussion).
+  *
+  * Built once per job from the plan of its queries; the constructor
+  * rejects a query it cannot flatten, before any pane runs.
+  *
+  * @param fixedLen static flatten length l per §6.1 methodology (the
+  *                 estimated longest match, fixed for the workload at
+  *                 compile time); each pane flattens to at least its own
+  *                 count of Kleene events, so 0 derives it per pane
   */
-object SharonEngine {
+final class SharonEngine(plan: EnginePlan, fixedLen: Int, maxLen: Int = 64) {
+  import plan.{queries, types}
 
   /** Positive linear item sequence of a flattenable pattern, as type ids:
     * (preTypes, kleeneType, postTypes). Mid/trailing negation positions are
@@ -43,33 +53,27 @@ object SharonEngine {
      as.drop(ki + 1).map(_.left.toOption.get))
   }
 
-  /** @param fixedLen static flatten length l per §6.1 methodology (the
-    *                 estimated longest match, fixed for the workload at
-    *                 compile time); each pane flattens to at least its own
-    *                 count of Kleene events, so 0 derives it per pane
+  private val shapes: Vector[(Vector[Int], Int, Vector[Int])] = queries.map(flattenShape)
+
+  /** The aggregate of each query of the plan over one (group, pane), in
+    * plan order.
     */
-  def processPane(
-      queries: Seq[CompiledQuery],
-      events: Seq[Event],
-      metrics: Metrics,
-      fixedLen: Int,
-      maxLen: Int = 64,
-  ): PaneOut = {
+  def processPane(events: Seq[Event], metrics: Metrics): Array[PaneAgg] = {
     val t0 = System.nanoTime()
-    val types = queries.head.types
-    val layout = new ChannelLayout(queries, types)
+    // Locals, not fields: the prefix-count loops read them per event.
+    val layout = plan.layout
     val nCh = layout.size
     val evs = events.toArray
     val tids = evs.map(ev => types.of(ev.typ))
-    var truncated = false
-    val out = Map.newBuilder[String, PaneAgg]
+    val out = new Array[PaneAgg](queries.size)
 
-    queries.foreach { cq =>
-      val (pre, e, post) = flattenShape(cq)
+    for (qi <- queries.indices) {
+      val cq = queries(qi)
+      val (pre, e, post) = shapes(qi)
       val idx = evs.indices.filter(i => tids(i) >= 0 && TypeIds.has(cq.universeMask, tids(i)))
       val nE = idx.count(i => tids(i) == e && cq.matches(evs(i), e))
       val L = math.min(math.max(fixedLen, math.max(nE, 1)), maxLen)
-      if (nE > maxLen) truncated = true
+      if (nE > maxLen) metrics.truncations += 1
 
       // Variant j has positions: pre ++ (e × j) ++ post, 1 <= j <= L.
       // cnt(v)(i) = matched prefixes of length i (cnt(v)(0) = 1 virtual);
@@ -150,9 +154,9 @@ object SharonEngine {
         while (ch < nCh) { chTot(ch) += chans(j)(ch - 1)(lens(j)); ch += 1 }
       }
       metrics.observeBytes(lens.map(l => (l + 1).toLong * nCh * 8).sum)
-      out += cq.id -> layout.reader(cq).read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
+      out(qi) = plan.readers(qi).read(chTot, Double.PositiveInfinity, Double.NegativeInfinity)
     }
     metrics.wallNanos += System.nanoTime() - t0
-    PaneOut(out.result(), truncated)
+    out
   }
 }

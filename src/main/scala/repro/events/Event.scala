@@ -2,8 +2,9 @@ package repro.events
 
 /** A single stream event.
   *
-  * @param id   unique, monotone per stream (used for stable ordering and
-  *             as the node id in oracle SQL)
+  * @param id   unique per stream; breaks ties in stream order. Engines
+  *             use only stream order, never the id; the SQL oracle orders
+  *             paths by id, so it needs ids that rise in stream order
   * @param ts   event time in milliseconds (in-order arrival is assumed,
   *             as in the paper)
   * @param typ  event type, e.g. "T" for Travel

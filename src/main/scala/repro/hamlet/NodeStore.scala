@@ -9,20 +9,23 @@ import repro.query.{CompiledQuery, TypeIds}
   *
   * Nodes are stored column-wise: a type-id column, a flat column of channel
   * values (`nCh` per node), min/max columns for MIN/MAX queries, and the
-  * event itself only when an edge predicate or a negation barrier has to
-  * look at it. The walk visits every node and tests its type against the
-  * new event's predecessor bit set.
+  * event itself only when an edge predicate has to look at it. Nodes are
+  * appended in stream order, so a node's index is its position. The walk
+  * visits every node and tests its type against the new event's
+  * predecessor bit set.
   */
 final class NodeStore(cq: CompiledQuery, nCh: Int) {
   private val edgePred = cq.q.edgePred.orNull
   private val nB = cq.negTid.length
-  private val keepEvents = edgePred != null || nB > 0
+  private val keepEvents = edgePred != null
+  /** Whether an edge can be invalid although its types are predecessors. */
+  private val checkEdges = keepEvents || nB > 0
   private val minMax = cq.minMaxTid >= 0
 
-  /** Last matched negative-event id per mid-negation barrier (edges from
-    * nodes before it across the barrier are dead).
+  /** Per mid-negation barrier: the nodes stored before its last matched
+    * negative event, whose edges across it are dead (-1: none matched).
     */
-  val lastNeg: Array[Long] = Array.fill(nB)(-1L)
+  val lastNeg: Array[Int] = Array.fill(nB)(-1)
 
   private var n = 0
   private var tids = new Array[Int](16)
@@ -63,7 +66,7 @@ final class NodeStore(cq: CompiledQuery, nCh: Int) {
     var mx = Double.NegativeInfinity
     var j = 0
     while (j < n) {
-      if (TypeIds.has(predMask, tids(j)) && (!keepEvents || edgeOk(j, e, tid))) {
+      if (TypeIds.has(predMask, tids(j)) && (!checkEdges || edgeOk(j, e, tid))) {
         val base = j * nCh
         var ch = 0
         while (ch < nCh) { out(ch) += vals(base + ch); ch += 1 }
@@ -80,13 +83,11 @@ final class NodeStore(cq: CompiledQuery, nCh: Int) {
     * from nodes before the last matching negative event.
     */
   private def edgeOk(j: Int, e: Event, tid: Int): Boolean = {
-    val p = evs(j)
     val ptid = tids(j)
-    if (edgePred != null && ptid == tid && !edgePred.holds(p, e)) return false
+    if (edgePred != null && ptid == tid && !edgePred.holds(evs(j), e)) return false
     var b = 0
     while (b < nB) {
-      if (lastNeg(b) >= 0 && p.id < lastNeg(b) &&
-          TypeIds.has(cq.negFrom(b), ptid) && TypeIds.has(cq.negTo(b), tid)) return false
+      if (j < lastNeg(b) && TypeIds.has(cq.negFrom(b), ptid) && TypeIds.has(cq.negTo(b), tid)) return false
       b += 1
     }
     true

@@ -5,16 +5,16 @@ import repro.events.Event
 import repro.metrics.Metrics
 import repro.query.{CompiledQuery, TypeIds}
 
-/** Everything a [[SetPaneEngine]] needs that does not depend on the pane:
-  * the queries, the shared Kleene type's id, the members' start flags and
+/** Everything an engine needs that does not depend on the pane: the
+  * queries, the shared Kleene type's id, the members' start flags and
   * Eq. 8 constants for it, the channel layout, and the set's type
   * universe. Built once per sharable set (or singleton query) when the
-  * executor is created.
+  * executor is created, and once per job for the MCEP and Sharon baselines.
   */
 final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[String]) extends Serializable {
   require(queries.nonEmpty, "an engine needs at least one query")
   val k: Int = queries.size
-  private val types = queries.head.types
+  val types: TypeIds = queries.head.types
   val nT: Int = types.size
   /** Type id of the sharable Kleene type, -1 for a singleton engine. */
   val sharedTid: Int = sharedType.fold(-1)(types.of)
@@ -105,12 +105,9 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     val cumAll = mergeTable(nT * nCh)
     /** cum tables captured at the last matching mid-pattern negation, per
       * (barrier, type): the part blocked from crossing the barrier.
-      * `blockedSet` counts the (barrier, type) entries written.
       */
     val blocked = mergeTable(nB * nT * nCh)
     val blockedAll = mergeTable(nB * nT * nCh)
-    var blockedSet = 0
-    private val blockedSetMask = new Array[Long](nB)
 
     def addCum(tbl: Array[Double], tid: Int, v: Array[Double]): Unit = {
       val o = tid * nCh
@@ -133,17 +130,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       cum(T * nCh + ch) - bl
     }
 
-    /** A matched negative event `e` of barrier `b` blocks the current cum
-      * tables of the barrier's from-types.
+    /** A matched negative event of barrier `b`, before which `before` nodes
+      * were stored, blocks them and the current cum tables of the barrier's
+      * from-types.
       */
-    def block(b: Int, e: Event): Unit = {
-      nodes.lastNeg(b) = e.id
+    def block(b: Int, before: Int): Unit = {
+      nodes.lastNeg(b) = before
       var m = cq.negFrom(b)
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
         val o = (b * nT + T) * nCh
-        if (!TypeIds.has(blockedSetMask(b), T)) { blockedSetMask(b) |= 1L << T; blockedSet += 1 }
         if (sharable) {
           System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
           System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
@@ -184,7 +181,9 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   }
   private val scratch = new Array[Double](nCh)
 
-  /** Non-shared processing of one matched event (Equations 1–3). */
+  /** Non-shared processing of one matched event (Equations 1–3); leaves
+    * the event's channel values in `scratch`.
+    */
   private def processNS(st: QState, e: Event, tid: Int): Unit = {
     if (st.lastNSTid != tid) { st.lastNSTid = tid; metrics.graphlets += 1 }
     val v = scratch
@@ -198,7 +197,6 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     }
     if (v(ChC) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
     st.nodes.append(e, tid, v, mn, mx)
-    if (sharable) st.addCum(st.cumAll, tid, v)
     if (TypeIds.has(st.cq.endMask, tid)) {
       var ch = 0
       while (ch < nCh) { st.finalAcc(ch) += v(ch); ch += 1 }
@@ -210,7 +208,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   /** One matched event for a query outside the open graphlet: a
     * pattern-final NOT first invalidates the trends ended so far (so a
     * same-type event then ends new ones), then the non-shared step, then
-    * the mid-pattern barriers the event raises.
+    * the mid-pattern barriers the event raises, which block only what came
+    * before it: its own value joins `cumAll` after they capture it.
     */
   private def processAlone(st: QState, e: Event, tid: Int): Unit = {
     if (TypeIds.has(st.cq.trailingMask, tid)) {
@@ -218,9 +217,12 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       st.finalMin = Double.PositiveInfinity
       st.finalMax = Double.NegativeInfinity
     }
-    if (TypeIds.has(st.cq.typesMask, tid)) processNS(st, e, tid)
+    val before = st.nodes.size
+    val positive = TypeIds.has(st.cq.typesMask, tid)
+    if (positive) processNS(st, e, tid)
     var b = 0
-    while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, e); b += 1 }
+    while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, before); b += 1 }
+    if (positive && sharable) st.addCum(st.cumAll, tid, scratch)
   }
 
   // ------------------------------------------------------------------
@@ -440,7 +442,11 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     var i = 0
     while (i < k) {
       val st = qs(i)
-      b += (java.lang.Long.bitCount(st.cumSharedSet) + st.blockedSet).toLong * nCh * 8 + nCh * 8L
+      // Sum entries written: the cumShared types, and each from-type of a barrier that has blocked.
+      var entries = java.lang.Long.bitCount(st.cumSharedSet)
+      var nb = 0
+      while (nb < st.nB) { if (st.nodes.lastNeg(nb) >= 0) entries += java.lang.Long.bitCount(st.cq.negFrom(nb)); nb += 1 }
+      b += entries.toLong * nCh * 8 + nCh * 8L
       b += st.nodes.size.toLong * (48L + nCh * 8L)
       i += 1
     }

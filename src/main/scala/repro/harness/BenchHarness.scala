@@ -1,9 +1,9 @@
 package repro.harness
 
-import repro.baselines.{McepEngine, PaneOut, SharonEngine}
+import repro.baselines.{McepEngine, SharonEngine}
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.{GretaEngine, HamletExecutor, SharingPolicy}
+import repro.hamlet.{EnginePlan, GretaEngine, HamletExecutor, SharingPolicy}
 import repro.metrics.Metrics
 import repro.query.{CompiledQuery, CompiledWorkload}
 
@@ -23,9 +23,11 @@ final case class RunResult(
     throughputEps: Double,
     peakBytes: Long,
     metrics: Metrics,
-    truncated: Boolean,
     total: PaneAgg,
-)
+) {
+  /** Whether an engine hit a safety cap: `total` is then a lower bound. */
+  def truncated: Boolean = metrics.truncations > 0
+}
 
 /** Replays a stream through the engines with the orchestration each
   * approach prescribes (§6.1 Methodology):
@@ -50,9 +52,9 @@ object BenchHarness {
       .sortBy { case ((g, p), _) => (p, g) }
 
   /** One engine call over one (group, pane): hands each query's aggregate
-    * to `emit` and says whether it hit a safety cap.
+    * to `emit`.
     */
-  private type Call = (Vector[Event], Metrics, PaneAgg => Unit) => Boolean
+  private type Call = (Vector[Event], Metrics, PaneAgg => Unit) => Unit
 
   /** Overlapping window instances that contain one pane of `q`: the times
     * an engine without pane sharing processes that pane for `q`.
@@ -60,12 +62,7 @@ object BenchHarness {
   private def instances(q: CompiledQuery): Int = q.windowPanes / q.slidePanes
 
   private def executor(exec: HamletExecutor): Call =
-    (evs, metrics, emit) => { exec.foreachAgg(evs, metrics)((_, agg) => emit(agg)); false }
-
-  private def baseline(out: PaneOut, emit: PaneAgg => Unit): Boolean = {
-    out.aggs.values.foreach(emit)
-    out.truncated
-  }
+    (evs, metrics, emit) => exec.foreachAgg(evs, metrics)((_, agg) => emit(agg))
 
   /** Times one run: every (group, pane) goes through `jobs` in order, each
     * job replaying it as many times as it says, and only a job's first
@@ -80,7 +77,6 @@ object BenchHarness {
                      jobs: Seq[(Int, Call)], peakScale: Long): RunResult = {
     val metrics = new Metrics
     var total = PaneAgg.empty
-    var truncated = false
     val keep: PaneAgg => Unit = agg => total += agg
     val skip: PaneAgg => Unit = _ => ()
     val warm = new Metrics
@@ -90,7 +86,7 @@ object BenchHarness {
       jobs.foreach { case (reps, call) =>
         var r = 0
         while (r < reps) {
-          truncated |= call(evs, metrics, if (r == 0) keep else skip)
+          call(evs, metrics, if (r == 0) keep else skip)
           r += 1
         }
       }
@@ -100,8 +96,7 @@ object BenchHarness {
     RunResult(name, wallMs,
       latencyMs = wallMs / math.max(parts.size, 1),
       throughputEps = events.size / math.max(wallMs / 1000.0, 1e-9),
-      peakBytes = metrics.peakBytes, metrics = metrics,
-      truncated = truncated, total = total)
+      peakBytes = metrics.peakBytes, metrics = metrics, total = total)
   }
 
   def runHamlet(wl: CompiledWorkload, policy: SharingPolicy, events: Seq[Event],
@@ -120,8 +115,8 @@ object BenchHarness {
   }
 
   def runMcep(wl: CompiledWorkload, events: Seq[Event]): RunResult = {
-    val call: Call = (evs, metrics, emit) =>
-      baseline(McepEngine.processPane(wl.queries, evs, metrics), emit)
+    val mcep = new McepEngine(new EnginePlan(wl.queries, None))
+    val call: Call = (evs, metrics, emit) => mcep.processPane(evs, metrics).foreach(emit)
     replay("MCEP", events, partition(events, wl.paneMs),
       Seq(wl.queries.map(instances).max -> call), peakScale = 1)
   }
@@ -135,8 +130,8 @@ object BenchHarness {
       .map { case (_, evs) => kleeneTypes.map(t => evs.count(_.typ == t)).maxOption.getOrElse(0) }
       .maxOption.getOrElse(1)
     val jobs = wl.queries.map { q =>
-      val call: Call = (evs, metrics, emit) =>
-        baseline(SharonEngine.processPane(Seq(q), evs, metrics, fixedLen, maxLen), emit)
+      val sharon = new SharonEngine(new EnginePlan(Vector(q), None), fixedLen, maxLen)
+      val call: Call = (evs, metrics, emit) => sharon.processPane(evs, metrics).foreach(emit)
       instances(q) -> call
     }
     replay("SHARON", events, parts, jobs, peakScale = wl.queries.map(instances).sum)

@@ -22,6 +22,7 @@ final class Metrics extends Serializable {
   var evalOps: Long           = 0 // expression-evaluation multiply-adds
   var peakBytes: Long         = 0 // modeled peak memory
   var wallNanos: Long         = 0 // engine wall-clock
+  var truncations: Long       = 0 // safety caps hit (the results are then lower bounds)
 
   def observeBytes(b: Long): Unit = if (b > peakBytes) peakBytes = b
   def observeTerms(t: Long): Unit = if (t > peakLiveTerms) peakLiveTerms = t
@@ -34,7 +35,7 @@ final class Metrics extends Serializable {
     decisions += o.decisions; decisionNanos += o.decisionNanos
     plansExamined += o.plansExamined; evalOps += o.evalOps
     peakBytes += o.peakBytes // state is per (group, pane): peaks add across concurrent state
-    wallNanos += o.wallNanos
+    wallNanos += o.wallNanos; truncations += o.truncations
   }
 
   override def toString: String =

@@ -108,6 +108,7 @@ object Workload {
     * own barrier or reset (documented narrowing of Def. 5, like MIN/MAX).
     */
   def compile(qs: Seq[TrendQuery]): CompiledWorkload = {
+    require(qs.nonEmpty, "a workload needs at least one query")
     require(qs.map(_.id).distinct.size == qs.size, "duplicate query ids")
     val paneMin = paneMinutes(qs)
     val paneMs  = paneMin * 60_000L

@@ -35,8 +35,9 @@ class BaselinesSpec extends AnyFunSuite {
   test("MCEP: visit cap reports truncation") {
     val q = TrendQuery("q", Pattern.seq("B+"), window = QueryWindow(4, 2))
     val events = (0 until 30).map(i => ev(i.toLong, "B"))
-    val out = McepEngine.processPane(Engines.compile(Seq(q)).queries, events, new Metrics, maxVisits = 100)
-    assert(out.truncated)
+    val m = new Metrics
+    new McepEngine(Engines.plan(Seq(q)), maxVisits = 100).processPane(events, m)
+    assert(m.truncations == 1)
   }
 
   test("MCEP: two-step aggregates from materialized trends (SUM)") {
@@ -54,16 +55,15 @@ class BaselinesSpec extends AnyFunSuite {
   test("Sharon: flatten-length cap reports truncation") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
     val events = ev(0, "A") +: (1 to 10).map(i => ev(i.toLong, "B"))
-    val out = SharonEngine.processPane(Engines.compile(Seq(q)).queries, events, new Metrics, fixedLen = 0, maxLen = 3)
-    assert(out.truncated)
+    val m = new Metrics
+    new SharonEngine(Engines.plan(Seq(q)), fixedLen = 0, maxLen = 3).processPane(events, m)
+    assert(m.truncations == 1)
   }
 
   test("Sharon rejects patterns it cannot flatten (nested Kleene)") {
     val q = TrendQuery("q", PKleene(PSeq(List(PEvent("A"), PKleene(PEvent("B"))))),
       window = QueryWindow(4, 2))
-    intercept[IllegalArgumentException] {
-      SharonEngine.processPane(Engines.compile(Seq(q)).queries, Seq(ev(0, "A")), new Metrics, fixedLen = 0)
-    }
+    intercept[IllegalArgumentException](new SharonEngine(Engines.plan(Seq(q)), fixedLen = 0))
   }
 
   // Prefix counts hold no per-event values: brute force gives 5 trends for
@@ -136,10 +136,10 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("Sharon cost grows with flatten length (the paper's Sharon bottleneck)") {
     val q = TrendQuery("q", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
-    val cq = Engines.compile(Seq(q)).queries
+    val sharon = new SharonEngine(Engines.plan(Seq(q)), fixedLen = 0, maxLen = 512)
     def ops(n: Int): Long = {
       val m = new Metrics
-      SharonEngine.processPane(cq, ev(0, "A") +: (1 to n).map(i => ev(i.toLong, "B")), m, fixedLen = 0, maxLen = 512)
+      sharon.processPane(ev(0, "A") +: (1 to n).map(i => ev(i.toLong, "B")), m)
       m.evalOps
     }
     val (small, large) = (ops(10), ops(40))

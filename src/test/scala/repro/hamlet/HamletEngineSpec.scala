@@ -210,6 +210,26 @@ class HamletEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("negation barriers follow stream order, not event ids") {
+    // Ids fall as time rises: N (between the first A and the first B)
+    // blocks that A in stream order even though its id is smaller. In
+    // `self` the second A blocks the first but still starts trends.
+    val qs = Seq(
+      TrendQuery("neg", Pattern.seq("A", "!N", "B+"), window = QueryWindow(4, 2)),
+      TrendQuery("c", Pattern.seq("C", "B+"), window = QueryWindow(4, 2)),
+      TrendQuery("self", Pattern.seq("A", "!A", "B+"), window = QueryWindow(4, 2)))
+    val events = Seq("A", "C", "N", "B", "A", "B", "B").zipWithIndex.map { case (t, i) =>
+      Event(id = 20L - 2 * i, ts = 10L * i, t, "g")
+    }
+    val expected = Engines.brute(qs, events)
+    assert(expected("neg").c == 3.0 && expected("c").c == 7.0 && expected("self").c == 7.0)
+    Engines.assertSame(Engines.mcep(qs, events), expected, "mcep")
+    Engines.assertSame(Engines.greta(qs, events), expected, "greta")
+    policies.foreach { case (name, p) =>
+      Engines.assertSame(Engines.hamlet(qs, events, p), expected, name)
+    }
+  }
+
   test("peak live terms and bytes are tracked") {
     val qs = Seq(
       TrendQuery("q1", Pattern.seq("A", "B+"), preds = Seq(NumPred("B", "v", ">", 50)),

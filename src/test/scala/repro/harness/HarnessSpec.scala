@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.events.StreamGen
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
+import repro.metrics.Metrics
 import repro.query.Workload
 
 /** The bench harness replays streams with each approach's orchestration;
@@ -62,7 +63,9 @@ class HarnessSpec extends AnyFunSuite {
     val wrongSum = r.copy(name = "wrong-s", total = r.total.copy(s = r.total.s + 1.0))
     intercept[IllegalArgumentException](Experiments.checkAgreement(rows(wrongSum)))
     // A truncated run is not compared.
-    Experiments.checkAgreement(rows(wrongSum.copy(truncated = true)))
+    val capped = new Metrics
+    capped.truncations = 1
+    Experiments.checkAgreement(rows(wrongSum.copy(metrics = capped)))
   }
 
   test("Hamlet does strictly less engine work than Greta (k× and window× sharing)") {

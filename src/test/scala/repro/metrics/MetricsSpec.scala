@@ -18,11 +18,11 @@ class MetricsSpec extends AnyFunSuite {
 
   test("+= sums counters and maxes peaks") {
     val a = new Metrics
-    a.events = 5; a.snapshotsCreated = 2; a.peakBytes = 100; a.peakLiveTerms = 4
+    a.events = 5; a.snapshotsCreated = 2; a.peakBytes = 100; a.peakLiveTerms = 4; a.truncations = 1
     val b = new Metrics
-    b.events = 7; b.snapshotsCreated = 1; b.peakBytes = 50; b.peakLiveTerms = 9
+    b.events = 7; b.snapshotsCreated = 1; b.peakBytes = 50; b.peakLiveTerms = 9; b.truncations = 2
     a += b
-    assert(a.events == 12 && a.snapshotsCreated == 3)
+    assert(a.events == 12 && a.snapshotsCreated == 3 && a.truncations == 3)
     assert(a.peakBytes == 150) // concurrent state: peaks add across groups
     assert(a.peakLiveTerms == 9)
   }

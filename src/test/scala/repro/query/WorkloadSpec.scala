@@ -86,6 +86,11 @@ class WorkloadSpec extends AnyFunSuite {
       q("q1", Pattern.seq("B+")), q("q1", Pattern.seq("B+")))))
   }
 
+  test("an empty workload is rejected with a clear message") {
+    val e = intercept[IllegalArgumentException](Workload.compile(Nil))
+    assert(e.getMessage.contains("at least one query"))
+  }
+
   test("type universe of a set includes negated types") {
     val wl = Workload.compile(Seq(
       q("q1", PSeq(List(PEvent("A"), PKleene(PEvent("B")), PNot("P")))),

@@ -22,16 +22,25 @@ object Engines {
             metrics: Metrics = new Metrics): Map[String, PaneAgg] =
     GretaEngine(compile(qs)).processPaneAggs(events, metrics)
 
+  /** One engine plan over every query of `qs`, for the baselines. */
+  def plan(qs: Seq[TrendQuery]): EnginePlan = new EnginePlan(compile(qs).queries, None)
+
+  /** Query ids zipped with an engine's results in plan order. */
+  private def byId(plan: EnginePlan, aggs: Array[PaneAgg]): Map[String, PaneAgg] =
+    plan.queries.map(_.id).zip(aggs).toMap
+
   def mcep(qs: Seq[TrendQuery], events: Seq[Event]): Map[String, PaneAgg] = {
-    val out = McepEngine.processPane(compile(qs).queries, events, new Metrics)
-    require(!out.truncated, "MCEP enumeration truncated in a correctness test")
-    out.aggs
+    val (p, metrics) = (plan(qs), new Metrics)
+    val out = new McepEngine(p).processPane(events, metrics)
+    require(metrics.truncations == 0, "MCEP enumeration truncated in a correctness test")
+    byId(p, out)
   }
 
   def sharon(qs: Seq[TrendQuery], events: Seq[Event], maxLen: Int = 512): Map[String, PaneAgg] = {
-    val out = SharonEngine.processPane(compile(qs).queries, events, new Metrics, fixedLen = 0, maxLen)
-    require(!out.truncated, "Sharon flattening truncated in a correctness test")
-    out.aggs
+    val (p, metrics) = (plan(qs), new Metrics)
+    val out = new SharonEngine(p, fixedLen = 0, maxLen).processPane(events, metrics)
+    require(metrics.truncations == 0, "Sharon flattening truncated in a correctness test")
+    byId(p, out)
   }
 
   def brute(qs: Seq[TrendQuery], events: Seq[Event]): Map[String, PaneAgg] = {
