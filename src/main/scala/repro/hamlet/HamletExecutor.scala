@@ -13,9 +13,11 @@ import repro.query.{CompiledQuery, CompiledWorkload}
   * once per set — the sharing across queries *within* a set is the paper's
   * contribution; sharing across sets does not arise because sets share no
   * Kleene sub-pattern (Definition 5). With no sets and every query a
-  * singleton this is the Greta baseline ([[GretaEngine]]).
+  * singleton this is the Greta baseline ([[GretaEngine]]). Every engine
+  * propagates at the cost of `profile`.
   */
-final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends Serializable {
+final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy, profile: CostProfile = Faithful)
+    extends Serializable {
 
   /** Engine plans, built once: one per sharable set, one per singleton
     * query. A singleton plan has no sharable type, so `policy` is never
@@ -30,7 +32,7 @@ final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends 
     val evs = events.toArray
     val tids = evs.map(e => wl.types.of(e.typ))
     plans.foreach { plan =>
-      val aggs = new SetPaneEngine(plan, policy, metrics).processPane(evs, tids)
+      val aggs = new SetPaneEngine(plan, policy, metrics, profile).processPane(evs, tids)
       var i = 0
       while (i < aggs.length) { emit(plan.queries(i), aggs(i)); i += 1 }
     }

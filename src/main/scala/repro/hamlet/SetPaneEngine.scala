@@ -14,6 +14,8 @@ import repro.query.{CompiledQuery, TypeIds}
 final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[String]) extends Serializable {
   require(queries.nonEmpty, "an engine needs at least one query")
   val k: Int = queries.size
+  /** Every member's index, in plan order. */
+  val all: Vector[Int] = (0 until k).toVector
   val types: TypeIds = queries.head.types
   val nT: Int = types.size
   /** Type id of the sharable Kleene type, -1 for a singleton engine. */
@@ -35,6 +37,21 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   val anyEdgePred: Boolean = queries.exists(_.q.edgePred.isDefined)
 }
 
+/** How an engine sums a new event's predecessors. Both profiles give the
+  * same results (up to summation order), decisions, snapshots and
+  * graphlets; see DESIGN.md, "Published cost profiles".
+  */
+sealed trait CostProfile extends Serializable
+/** The published cost, which the figure benches run: a non-shared event
+  * walks every stored node, O(n); a shared one re-sums its graphlet, O(g·s).
+  */
+case object Faithful extends CostProfile
+/** Running sums (Cogra, SIGMOD 2019), which the Spark runners run: a
+  * non-shared event reads per-type sums, O(types), unless its query has an
+  * edge predicate or MIN/MAX; a shared one reads one running expression, O(s).
+  */
+case object RunningSums extends CostProfile
+
 /** Online trend aggregation over one (group, pane) for one set of queries.
   *
   * This single engine implements both execution strategies of the paper:
@@ -42,7 +59,8 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   *  - **Non-shared** (§3.2, Greta [33]): per-query event graphs whose
   *    intermediate aggregates are plain numbers; each new event walks all
   *    stored predecessor events (Equations 1–3) — O(n) per event per
-  *    query, the published cost profile (the `n` term of Eq. 8).
+  *    query, the published cost profile (the `n` term of Eq. 8), unless
+  *    the [[CostProfile]] is [[RunningSums]].
   *  - **Shared** (§3.3, Algorithm 1): one graphlet per burst of the
   *    sharable Kleene type, whose intermediate aggregates are linear
   *    expressions over *snapshots* — created at graphlet level when the
@@ -66,7 +84,8 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   *
   * Not thread-safe; instantiate per (group, pane).
   */
-final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metrics) {
+final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metrics,
+                          profile: CostProfile = Faithful) {
   import plan.{k, nT, sharedTid, layout}
   private val queries = plan.queries
   private val nCh = layout.size
@@ -76,7 +95,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     * maintained.
     */
   private val sharable = sharedTid >= 0
-  private def mergeTable(n: Int): Array[Double] = if (sharable) new Array[Double](n) else Array.emptyDoubleArray
+  private def mergeTable(n: Int, keep: Boolean = sharable): Array[Double] =
+    if (keep) new Array[Double](n) else Array.emptyDoubleArray
 
   // ------------------------------------------------------------------
   // Per-query state (non-shared graph + shared-close sums + finals)
@@ -84,6 +104,12 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private final class QState(val cq: CompiledQuery) {
     val hasEdge = cq.q.edgePred.isDefined
     val nB = cq.negTid.length
+    /** Whether the non-shared step reads `cumAll` instead of walking: an
+      * edge predicate filters single predecessors, and MIN/MAX needs each
+      * one's extremes.
+      */
+    val runSums = profile == RunningSums && !hasEdge && cq.minMaxTid < 0
+    val keepAll = sharable || runSums
 
     /** Non-shared graph nodes of this pane (plus, for edge-predicate
       * queries, materialized per-query values of shared-processed events —
@@ -102,12 +128,14 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       * graphlet-level snapshot from aggregates instead of re-walking the
       * graph (§4.2: merge cost is linear, not quadratic).
       */
-    val cumAll = mergeTable(nT * nCh)
+    val cumAll = mergeTable(nT * nCh, keepAll)
     /** cum tables captured at the last matching mid-pattern negation, per
       * (barrier, type): the part blocked from crossing the barrier.
       */
     val blocked = mergeTable(nB * nT * nCh)
-    val blockedAll = mergeTable(nB * nT * nCh)
+    val blockedAll = mergeTable(nB * nT * nCh, keepAll)
+    /** Per barrier: the pane's event count at its last match (-1: none). */
+    val blockedAt = Array.fill(nB)(-1L)
 
     def addCum(tbl: Array[Double], tid: Int, v: Array[Double]): Unit = {
       val o = tid * nCh
@@ -116,15 +144,20 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     }
 
     /** Contribution of type `T` from `cum` to a new `toTid` event, net of
-      * negation barriers (the latest negation dominates because the cum
-      * tables are non-decreasing). An unwritten `blk` entry is 0.
+      * negation barriers: what may not cross is the capture of the
+      * applicable barrier that matched last. (Not the largest capture: a
+      * cum table falls under SUM/AVG over negative values.) An unwritten
+      * `blk` entry is 0.
       */
     def cumNet(cum: Array[Double], blk: Array[Double], T: Int, toTid: Int, ch: Int): Double = {
       var bl = 0.0
+      var at = -1L
       var b = 0
       while (b < nB) {
-        if (TypeIds.has(cq.negFrom(b), T) && TypeIds.has(cq.negTo(b), toTid))
-          bl = math.max(bl, blk((b * nT + T) * nCh + ch))
+        if (blockedAt(b) > at && TypeIds.has(cq.negFrom(b), T) && TypeIds.has(cq.negTo(b), toTid)) {
+          at = blockedAt(b)
+          bl = blk((b * nT + T) * nCh + ch)
+        }
         b += 1
       }
       cum(T * nCh + ch) - bl
@@ -136,33 +169,54 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       */
     def block(b: Int, before: Int): Unit = {
       nodes.lastNeg(b) = before
+      blockedAt(b) = nEvents
       var m = cq.negFrom(b)
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
         val o = (b * nT + T) * nCh
-        if (sharable) {
-          System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
-          System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
-        }
+        if (sharable) System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
+        if (keepAll) System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
       }
     }
-    /** Predecessor input of a new event `e` of type `tid` into `out`: the
-      * faithful walk over stored nodes plus the aggregate shared-close
-      * sums. An edge-pred query has no shared-close sums — its shared
-      * events are materialized in `nodes` instead. Types with no
-      * shared-close sum are skipped: their terms (and blocked parts) are 0.
+
+    /** Add to `out` the sums in `cum` of the types in `types`, net of
+      * barriers into a `tid` event.
       */
-    def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
-      java.util.Arrays.fill(out, 0.0)
-      val pm = cq.predMask(tid)
-      nodes.walk(e, tid, pm, out, metrics) // O(n): the published NS cost
-      var m = pm & cumSharedSet
+    private def addNet(cum: Array[Double], blk: Array[Double], types: Long, tid: Int, out: Array[Double]): Unit = {
+      var m = types
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
         var ch = 0
-        while (ch < nCh) { out(ch) += cumNet(cumShared, blocked, T, tid, ch); ch += 1 }
+        while (ch < nCh) { out(ch) += cumNet(cum, blk, T, tid, ch); ch += 1 }
+      }
+    }
+
+    /** Add to `out` what every processed event passes to a new `tid` event,
+      * from the per-type sums in O(channels × predecessor types): the price
+      * of a merge (Definition 8 / Eq. 5) and the running-sum step.
+      */
+    def runningInput(tid: Int, out: Array[Double]): Unit = {
+      val pm = cq.predMask(tid)
+      addNet(cumAll, blockedAll, pm, tid, out)
+      metrics.evalOps += java.lang.Long.bitCount(pm).toLong * nCh
+    }
+
+    /** Predecessor input of a new event `e` of type `tid` into `out`. Under
+      * running sums, [[runningInput]]. Otherwise the faithful walk over
+      * stored nodes plus the aggregate shared-close sums. An edge-pred query
+      * has no shared-close sums — its shared events are materialized in
+      * `nodes` instead. Types with no shared-close sum are skipped: their
+      * terms (and blocked parts) are 0.
+      */
+    def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
+      java.util.Arrays.fill(out, 0.0)
+      if (runSums) runningInput(tid, out)
+      else {
+        val pm = cq.predMask(tid)
+        nodes.walk(e, tid, pm, out, metrics) // O(n): the published NS cost
+        addNet(cumShared, blocked, pm & cumSharedSet, tid, out)
       }
     }
 
@@ -222,7 +276,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     if (positive) processNS(st, e, tid)
     var b = 0
     while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, before); b += 1 }
-    if (positive && sharable) st.addCum(st.cumAll, tid, scratch)
+    if (positive && st.keepAll) st.addCum(st.cumAll, tid, scratch)
   }
 
   // ------------------------------------------------------------------
@@ -239,6 +293,10 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   /** Σ over stored events and channels of the expression sizes. */
   private var shTerms = 0L
   private val sumBuilder = if (sharable) new LinExpr.Builder else null
+  /** Under [[RunningSums]]: the running Σ of the stored events'
+    * expressions, per channel; `null` under [[Faithful]].
+    */
+  private val shSum = if (sharable && profile == RunningSums) new Array[LinExpr](nCh) else null
 
   /** Snapshot table S of the open graphlet. Its snapshots are numbered
     * from 0 (the graphlet-level one); snapshot `s` has the `LinExpr` slots
@@ -270,30 +328,40 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   }
 
   /** Predecessor input of a new event in the shared graphlet: the
-    * graphlet-input snapshot plus the expressions of all stored events —
-    * the O(n·s) walk of §3.3's complexity analysis (sharing saves the ×k,
-    * not the walk).
+    * graphlet-input snapshot plus the expressions of all stored events.
+    * Faithfully that re-sums the store — the O(n·s) walk of §3.3's
+    * complexity analysis (sharing saves the ×k, not the walk); under
+    * running sums it reads the one running expression, O(s).
     */
   private def sumEventExprs(ch: Int): LinExpr = {
     sumBuilder.clear()
     sumBuilder += shInput(ch)
-    var j = 0
-    while (j < shCount) {
-      val x = shExprs(j * nCh + ch)
-      sumBuilder += x
-      metrics.evalOps += x.size.toLong
-      j += 1
+    if (shSum != null) {
+      sumBuilder += shSum(ch)
+      metrics.evalOps += shSum(ch).size.toLong
+    } else {
+      var j = 0
+      while (j < shCount) {
+        val x = shExprs(j * nCh + ch)
+        sumBuilder += x
+        metrics.evalOps += x.size.toLong
+        j += 1
+      }
     }
     sumBuilder.result()
   }
 
-  /** `acc0` plus query `q`'s stored-event values on channel `ch`, in store order. */
-  private def sumStoredValues(acc0: Double, ch: Int, q: Int): Double = {
-    var acc = acc0
-    var j = 0
-    while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), q); j += 1 }
-    acc
-  }
+  /** `acc0` plus query `q`'s stored-event values on channel `ch`: in store
+    * order, or from the running expression.
+    */
+  private def sumStoredValues(acc0: Double, ch: Int, q: Int): Double =
+    if (shSum != null) acc0 + evalExpr(shSum(ch), q)
+    else {
+      var acc = acc0
+      var j = 0
+      while (j < shCount) { acc += evalExpr(shExprs(j * nCh + ch), q); j += 1 }
+      acc
+    }
 
   /** Open a shared graphlet for `members`: create the graphlet-level
     * snapshot (Definition 8) valued per query from everything processed so
@@ -303,21 +371,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private def openShared(members: Vector[Int], tid: Int): Unit = {
     newSnap() // snapshot 0: slots 0 until nCh
     members.foreach { i =>
-      val st = qs(i)
-      // Snapshot value from per-type aggregates (Definition 8 / Eq. 5):
-      // merge prices in O(channels × predecessor types) per query instead
-      // of re-walking the per-query graphs. Uniformity at merge time makes
-      // the unfiltered aggregate the right value for edge-pred queries too.
-      val pm = st.cq.predMask(tid)
-      var m = pm
-      while (m != 0L) {
-        val T = java.lang.Long.numberOfTrailingZeros(m)
-        m &= m - 1
-        var ch = 0
-        while (ch < nCh) { snapVals(ch * k + i) += st.cumNet(st.cumAll, st.blockedAll, T, tid, ch); ch += 1 }
-      }
-      metrics.evalOps += java.lang.Long.bitCount(pm).toLong * nCh
+      // Snapshot value from per-type aggregates: merge prices in
+      // O(channels × predecessor types) per query instead of re-walking the
+      // per-query graphs. Uniformity at merge time makes the unfiltered
+      // aggregate the right value for edge-pred queries too.
+      val v = scratch
+      java.util.Arrays.fill(v, 0.0)
+      qs(i).runningInput(tid, v)
+      var ch = 0
+      while (ch < nCh) { snapVals(ch * k + i) = v(ch); ch += 1 }
     }
+    if (shSum != null) shSum.mapInPlace(_ => LinExpr.zero)
     shCount = 0
     shTerms = 0L
     shMembers = members.toArray
@@ -417,6 +481,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     if ((shCount + 1) * nCh > shExprs.length) shExprs = java.util.Arrays.copyOf(shExprs, 2 * shExprs.length)
     System.arraycopy(exprs, 0, shExprs, shCount * nCh, nCh)
     shCount += 1
+    if (shSum != null) {
+      var ch = 0
+      while (ch < nCh) {
+        metrics.evalOps += (shSum(ch).size + exprs(ch).size).toLong
+        sumBuilder.clear()
+        sumBuilder += shSum(ch)
+        sumBuilder += exprs(ch)
+        shSum(ch) = sumBuilder.result()
+        ch += 1
+      }
+    }
     shTerms += exprs.iterator.map(_.size.toLong).sum
     // Edge-predicate members materialize their per-query value of this
     // event into their graph (predecessor base for later filtered walks).

@@ -97,7 +97,6 @@ object SharingOptimizer {
       eventsSoFar: Long,
   ): Decision = {
     import plan.{k, p, startMajority, startUniform, t}
-    val all = (0 until k).toVector
     val b = burst.size.toLong
 
     def stats(sC: Long, sP: Long, kk: Int): BurstStats =
@@ -108,51 +107,75 @@ object SharingOptimizer {
         Decision(Vector.empty, Double.NegativeInfinity, stats(0, 0, k), 1)
 
       case AlwaysShare =>
-        Decision(all, Double.PositiveInfinity, stats(1, 1, k), 1)
+        Decision(plan.all, Double.PositiveInfinity, stats(1, 1, k), 1)
 
       case Dynamic(model) =>
         val startFlags = plan.startsShared
-        // Sample the burst for predicate divergence.
+        // Sample the burst for predicate divergence: every `stride`-th event.
         val stride = math.max(1, burst.size / SampleCap)
-        val sample = (0 until burst.size).by(stride)
-        val scale  = b.toDouble / sample.size
+        val nSample = (burst.size + stride - 1) / stride
+        val scale  = b.toDouble / nSample
 
         // Per-query divergence counts d(q): minority membership per event.
-        val d = Array.fill(k)(0L)
-        sample.foreach { e =>
-          val nMatched = (0 until k).count(i => burst(e, i))
+        val d = new Array[Long](k)
+        var e = 0
+        while (e < burst.size) {
+          var nMatched = 0
+          var i = 0
+          while (i < k) { if (burst(e, i)) nMatched += 1; i += 1 }
           val uniform = (nMatched == 0 || nMatched == k) && startUniform
           if (!uniform) {
             val majority = nMatched * 2 >= k
-            for (i <- 0 until k)
-              if (burst(e, i) != majority || startFlags(i) != startMajority)
-                d(i) += 1
+            i = 0
+            while (i < k) {
+              if (burst(e, i) != majority || startFlags(i) != startMajority) d(i) += 1
+              i += 1
+            }
           }
+          e += stride
         }
 
         val g = b
         val log2g = math.log(math.max(g, 1).toDouble) / math.log(2.0)
         val n = eventsSoFar + b
-        val m = d.count(_ > 0) // queries introducing snapshots
         // Thm 4.1: d(q) == 0 -> always share. Thm 4.2: keep q iff marginal
-        // snapshot cost <= its re-computation cost.
-        val chosen = all.filter { i =>
-          d(i) == 0L || (d(i) * scale) * g * p <= b * (log2g + n)
+        // snapshot cost <= its re-computation cost. m counts the queries
+        // introducing snapshots.
+        val chosen = Vector.newBuilder[Int]
+        var nChosen = 0
+        var m = 0
+        // Start flags among the chosen: bit 0 set if one does not start
+        // with E, bit 1 if one does (3: they disagree).
+        var startsSeen = 0
+        var i = 0
+        while (i < k) {
+          if (d(i) > 0) m += 1
+          if (d(i) == 0L || (d(i) * scale) * g * p <= b * (log2g + n)) {
+            chosen += i
+            nChosen += 1
+            startsSeen |= (if (startFlags(i)) 2 else 1)
+          }
+          i += 1
         }
         // Re-estimate s_c for the chosen set (divergence w.r.t. the set).
+        val chosenIdx = chosen.result()
         var divChosen = 0L
-        if (chosen.size >= 2) {
-          val sUni = chosen.map(startFlags(_)).distinct.size == 1
-          sample.foreach { e =>
-            val nm = chosen.count(i => burst(e, i))
-            if ((nm != 0 && nm != chosen.size) || !sUni) divChosen += 1
+        if (nChosen >= 2) {
+          val sUni = startsSeen != 3
+          e = 0
+          while (e < burst.size) {
+            var nm = 0
+            var j = 0
+            while (j < nChosen) { if (burst(e, chosenIdx(j))) nm += 1; j += 1 }
+            if ((nm != 0 && nm != nChosen) || !sUni) divChosen += 1
+            e += stride
           }
         }
         val sC = 1L + (divChosen * scale).round // graphlet snapshot + event snapshots
         val sP = 1L + (divChosen * scale).round
-        val st = stats(sC, sP, chosen.size)
-        val ben = if (chosen.size >= 2) model.benefit(st) else Double.NegativeInfinity
-        Decision(chosen, ben, st, m + 1)
+        val st = stats(sC, sP, nChosen)
+        val ben = if (nChosen >= 2) model.benefit(st) else Double.NegativeInfinity
+        Decision(chosenIdx, ben, st, m + 1)
     }
   }
 }

@@ -3,7 +3,7 @@ package repro.harness
 import repro.baselines.{McepEngine, SharonEngine}
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.{EnginePlan, GretaEngine, HamletExecutor, SharingPolicy}
+import repro.hamlet.{CostProfile, EnginePlan, Faithful, GretaEngine, HamletExecutor, SharingPolicy}
 import repro.metrics.Metrics
 import repro.query.{CompiledQuery, CompiledWorkload}
 
@@ -100,9 +100,9 @@ object BenchHarness {
   }
 
   def runHamlet(wl: CompiledWorkload, policy: SharingPolicy, events: Seq[Event],
-                name: String = "HAMLET"): RunResult =
+                name: String = "HAMLET", profile: CostProfile = Faithful): RunResult =
     replay(name, events, partition(events, wl.paneMs),
-      Seq(1 -> executor(new HamletExecutor(wl, policy))), peakScale = 1)
+      Seq(1 -> executor(new HamletExecutor(wl, policy, profile))), peakScale = 1)
 
   /** One executor per count of overlapping window instances per pane;
     * inside it every query still runs alone on its own engine.

@@ -2,7 +2,7 @@ package repro.harness
 
 import repro.events.{Event, StreamGen}
 import repro.hamlet.{AlwaysShare, Dynamic, NeverShare}
-import repro.query.Workload
+import repro.query.{CompiledWorkload, Workload}
 
 /** The evaluation-section experiments (§6.2) that the bench suites run.
   * Each function replays generated streams at fixed settings through the
@@ -28,15 +28,7 @@ object Experiments {
   def fig9(): Seq[Row] = {
     val settings = (Seq(10_000, 20_000).map(e => (e, 15)) ++ Seq(5, 15, 25).map(k => (10_000, k))).distinct
     settings.flatMap { case (epm, k) =>
-      // Many small groups and bounded trip lengths keep the two-step
-      // baseline's exponential enumeration finite — the paper's "low
-      // setting" chosen "to ensure MCEP/Greta/Sharon terminate" (§6.2).
-      val events = StreamGen.ridesharing(minutes = 4, epm,
-        nGroups = math.max(400, epm / 2), meanKleene = 2.5, maxKleene = 7)
-      // Figure 1's queries use large window/slide ratios (30 min / 1 min);
-      // 12/1 keeps the overlapping-window re-processing factor realistic
-      // for the baselines while staying inside the bench time budget.
-      val wl = Workload.compile(Workloads.ridesharingW1(k, windowMin = 12, slideMin = 1))
+      val (events, wl) = fig9Input(epm, k)
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events),
         BenchHarness.runGreta(wl, events),
@@ -47,6 +39,17 @@ object Experiments {
       rows
     }
   }
+
+  /** Figure 9's stream and workload at `epm` events/min and `k` queries. */
+  def fig9Input(epm: Int, k: Int): (Seq[Event], CompiledWorkload) =
+    // Many small groups and bounded trip lengths keep the two-step
+    // baseline's exponential enumeration finite — the paper's "low
+    // setting" chosen "to ensure MCEP/Greta/Sharon terminate" (§6.2).
+    (StreamGen.ridesharing(minutes = 4, epm, nGroups = math.max(400, epm / 2), meanKleene = 2.5, maxKleene = 7),
+     // Figure 1's queries use large window/slide ratios (30 min / 1 min);
+     // 12/1 keeps the overlapping-window re-processing factor realistic
+     // for the baselines while staying inside the bench time budget.
+     Workload.compile(Workloads.ridesharingW1(k, windowMin = 12, slideMin = 1)))
 
   /** Figure 11: Hamlet vs Greta on the NYC-Taxi-like and Smart-Home-like
     * streams with strongly overlapping windows (the high setting the
@@ -59,12 +62,7 @@ object Experiments {
       epms.map(e => (ds, e, 50)) ++ Seq(10, 30, 50).map(k => (ds, epms(1), k))
     val all = (settings("NYC-Taxi", Seq(100, 200, 400)) ++ settings("Smart-Home", Seq(2_000, 5_000, 10_000))).distinct
     all.flatMap { case (ds, epm, k) =>
-      val (events, wl) =
-        if (ds == "NYC-Taxi")
-          (StreamGen.taxiLike(minutes = 6, epm, nDistricts = 10), Workload.compile(Workloads.taxiW1(k)))
-        else
-          (StreamGen.smartHomeLike(minutes = 3, epm, nPlugs = math.max(50, epm / 25)),
-           Workload.compile(Workloads.smartHomeW1(k)))
+      val (events, wl) = fig11Input(ds, epm, k)
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events),
         BenchHarness.runGreta(wl, events),
@@ -73,6 +71,14 @@ object Experiments {
       rows
     }
   }
+
+  /** Figure 11's stream and workload for data set `ds` ("NYC-Taxi" or "Smart-Home"). */
+  def fig11Input(ds: String, epm: Int, k: Int): (Seq[Event], CompiledWorkload) =
+    if (ds == "NYC-Taxi")
+      (StreamGen.taxiLike(minutes = 6, epm, nDistricts = 10), Workload.compile(Workloads.taxiW1(k)))
+    else
+      (StreamGen.smartHomeLike(minutes = 3, epm, nPlugs = math.max(50, epm / 25)),
+       Workload.compile(Workloads.smartHomeW1(k)))
 
   /** Figures 12/13: dynamic vs static sharing decisions on 8 minutes of
     * the Stock stream (workload 2: diverse windows/aggregates/predicates;
@@ -83,12 +89,7 @@ object Experiments {
   def fig12(): Seq[Row] = {
     val settings = (Seq(2_000, 3_000, 4_000).map(e => (e, 60)) ++ Seq(20, 60, 100).map(k => (2_000, k))).distinct
     settings.flatMap { case (epm, k) =>
-      // Companies sized so per-(company, pane) tick counts stay far from
-      // Double overflow (trend counts double per Kleene event); bursts
-      // average ~120 events within a pane as reported for the stock data
-      // set in §6.2.
-      val events = StreamGen.stockLike(minutes = 8, epm, nCompanies = math.max(25, epm / 40))
-      val wl = Workload.compile(Workloads.stockW2(k))
+      val (events, wl) = fig12Input(epm, k)
       val rows = Seq(
         BenchHarness.runHamlet(wl, Dynamic(), events, name = "HAMLET-dynamic"),
         BenchHarness.runHamlet(wl, AlwaysShare, events, name = "HAMLET-static"),
@@ -98,6 +99,15 @@ object Experiments {
       rows
     }
   }
+
+  /** Figure 12's stream and workload at `epm` events/min and `k` queries. */
+  def fig12Input(epm: Int, k: Int): (Seq[Event], CompiledWorkload) =
+    // Companies sized so per-(company, pane) tick counts stay far from
+    // Double overflow (trend counts double per Kleene event); bursts
+    // average ~120 events within a pane as reported for the stock data
+    // set in §6.2.
+    (StreamGen.stockLike(minutes = 8, epm, nCompanies = math.max(25, epm / 40)),
+     Workload.compile(Workloads.stockW2(k)))
 
   def printComparison(title: String, rows: Seq[Row]): Unit = {
     BenchHarness.printTable(title,

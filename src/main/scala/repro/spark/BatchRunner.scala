@@ -6,7 +6,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.core.{PaneAgg, PaneResult}
 import repro.events.Event
-import repro.hamlet.{HamletExecutor, SharingPolicy}
+import repro.hamlet.{HamletExecutor, RunningSums, SharingPolicy}
 import repro.metrics.Metrics
 import repro.query.{Agg, CompiledWorkload}
 
@@ -15,7 +15,8 @@ import repro.query.{Agg, CompiledWorkload}
   * The stream is partitioned by the grouping attribute with `groupByKey`
   * (§3.1 "partitions the stream by the values of grouping attributes");
   * within a group the events are sorted in stream order and each pane runs
-  * through the [[HamletExecutor]] (trends are pane-scoped, DESIGN.md).
+  * through the [[HamletExecutor]] at the [[RunningSums]] cost (trends are
+  * pane-scoped, DESIGN.md).
   * Window roll-up groups the pane results by group once more and sums each
   * query's panes into its window instances in the task, so every pane
   * result is reused by all windows that hold it.
@@ -40,7 +41,7 @@ object BatchRunner {
       events: Dataset[Event],
   ): Dataset[PaneResult] = {
     import spark.implicits._
-    val exec = new HamletExecutor(wl, policy)
+    val exec = new HamletExecutor(wl, policy, RunningSums)
     events
       .groupByKey(_.grp)
       .flatMapGroups { (grp: String, it: Iterator[Event]) =>

@@ -5,7 +5,7 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 
 import repro.core.PaneResult
 import repro.events.Event
-import repro.hamlet.{HamletExecutor, SharingPolicy}
+import repro.hamlet.{HamletExecutor, RunningSums, SharingPolicy}
 import repro.metrics.Metrics
 import repro.query.CompiledWorkload
 
@@ -16,9 +16,9 @@ import repro.query.CompiledWorkload
   *
   * State per group: the events of the newest, still-open pane. Each
   * micro-batch is merged with them in stream order; every event before the
-  * group's newest pane then runs through the [[HamletExecutor]] (graphlets,
-  * snapshots, per-burst decisions) and the completed panes' results are
-  * appended downstream. A sentinel event
+  * group's newest pane then runs through the [[HamletExecutor]] at the
+  * [[RunningSums]] cost (graphlets, snapshots, per-burst decisions) and the
+  * completed panes' results are appended downstream. A sentinel event
   * (type [[StreamingRunner.FlushType]], one per group, with a timestamp
   * past the last pane) flushes the final pane at end of input.
   */
@@ -42,7 +42,7 @@ object StreamingRunner {
       events: Dataset[Event],
   ): Dataset[PaneResult] = {
     import spark.implicits._
-    val exec = new HamletExecutor(wl, policy)
+    val exec = new HamletExecutor(wl, policy, RunningSums)
     val paneMs = wl.paneMs
 
     def process(

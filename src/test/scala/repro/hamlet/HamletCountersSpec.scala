@@ -4,10 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
 
+import repro.core.PaneAgg
 import repro.events.{Event, StreamGen}
 import repro.harness.{BenchHarness, Workloads}
 import repro.metrics.Metrics
-import repro.query.{TrendQuery, Workload}
+import repro.query.{CompiledWorkload, TrendQuery, Workload}
 import repro.testkit.{Engines, TestGen}
 
 /** Pins the engines' deterministic counters.
@@ -139,6 +140,40 @@ class HamletCountersSpec extends AnyFunSuite {
       "events" -> 668L, "evalOps" -> 16681L, "snapshots" -> 0L,
       "sharedBursts" -> 0L, "totalBursts" -> 64L, "sharedGraphlets" -> 0L, "graphlets" -> 428L,
       "decisions" -> 64L, "plansExamined" -> 64L, "peakLiveTerms" -> 0L, "peakBytes" -> 94208L))
+  }
+
+  /** Every (group, pane) unit of `units` under `profile`: the per-query
+    * results and the summed counters.
+    */
+  private def profiled(wl: CompiledWorkload, units: Seq[(?, Vector[Event])], policy: SharingPolicy,
+                       profile: CostProfile): (Seq[Map[String, PaneAgg]], Metrics) = {
+    val exec = new HamletExecutor(wl, policy, profile)
+    val total = new Metrics
+    val aggs = units.map { case (_, evs) => val m = new Metrics; val a = exec.processPaneAggs(evs, m); total += m; a }
+    (aggs, total)
+  }
+
+  private def close(u: Double, v: Double): Boolean =
+    if (u.isInfinite || v.isInfinite) u == v
+    else math.abs(u - v) <= 1e-9 * math.max(1.0, math.max(math.abs(u), math.abs(v)))
+
+  for ((name, wl, units) <- Seq(("stock", () => stockWl, () => stockUnits), ("ridesharing", () => rideWl, () => rideUnits));
+       (pName, policy) <- Seq("Dynamic" -> Dynamic(), "AlwaysShare" -> AlwaysShare, "NeverShare" -> NeverShare)) {
+    test(s"$name under $pName: running sums make the same decisions and results as the faithful walk") {
+      val (fa, f) = profiled(wl(), units(), policy, Faithful)
+      val (ra, r) = profiled(wl(), units(), policy, RunningSums)
+      def decisions(m: Metrics) = Seq(m.snapshotsCreated, m.graphlets, m.sharedGraphlets, m.sharedBursts,
+        m.totalBursts, m.decisions, m.plansExamined)
+      assert(decisions(r) == decisions(f))
+      fa.zip(ra).foreach { case (fu, ru) =>
+        assert(fu.keySet == ru.keySet)
+        fu.foreach { case (q, a) =>
+          val b = ru(q)
+          assert(close(a.c, b.c) && close(a.n, b.n) && close(a.s, b.s) && close(a.mn, b.mn) && close(a.mx, b.mx),
+            s"$q: $a vs $b")
+        }
+      }
+    }
   }
 
   test("Greta baseline counters are pinned (its walk visits what NeverShare visits)") {

@@ -230,6 +230,19 @@ class HamletEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("a barrier blocks a shared SUM over negative values (the latest capture, not the largest)") {
+    // The shared B+ graphlet leaves q1's B sums at c = 3, s = -16 when C
+    // blocks them, so nothing crosses to D: c = 0 and s = 0.
+    val qs = Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+", "!C", "D"), Agg.Sum("B", "v"), window = QueryWindow(4, 2)),
+      TrendQuery("q2", Pattern.seq("A", "B+"), Agg.Sum("B", "v"), window = QueryWindow(4, 2)))
+    val events = Seq(ev(0, "A", 1), ev(1, "B", -5), ev(2, "B", -3), ev(3, "C"), ev(4, "D"))
+    val expected = Engines.brute(qs, events)
+    assert(expected("q1").c == 0.0 && expected("q1").s == 0.0 && expected("q2").s == -16.0)
+    for ((name, p) <- policies; profile <- Seq(Faithful, RunningSums))
+      Engines.assertSame(Engines.hamlet(qs, events, p, profile = profile), expected, s"$name $profile")
+  }
+
   test("peak live terms and bytes are tracked") {
     val qs = Seq(
       TrendQuery("q1", Pattern.seq("A", "B+"), preds = Seq(NumPred("B", "v", ">", 50)),

@@ -12,13 +12,15 @@ import repro.events.Event
 import repro.query._
 import repro.testkit.{Engines, TestGen}
 
-/** Property: the sharing policy changes the cost, never the result. On
-  * random workloads (Kleene shapes, trailing and mid-pattern negation,
-  * predicate thresholds, edge predicates, aggregates) and random streams,
-  * `NeverShare`, `AlwaysShare`, `Dynamic()` and the Greta baseline (every
-  * query alone on its own engine) agree on every `PaneAgg` channel, and on
-  * tiny inputs all four, the MCEP baseline, and the Sharon baseline on the
-  * queries it supports agree with the brute-force enumerator.
+/** Property: the sharing policy and the cost profile change the cost,
+  * never the result. On random workloads (Kleene shapes, trailing and
+  * mid-pattern negation, predicate thresholds, edge predicates, aggregates)
+  * and random streams, `NeverShare`, `AlwaysShare` and `Dynamic()` under
+  * both cost profiles and the Greta baseline (every query alone on its own
+  * engine) agree on every `PaneAgg` channel, and on tiny inputs all of them,
+  * the MCEP baseline, and the Sharon baseline on the queries it supports
+  * agree with the brute-force enumerator. A variant draws negative `v`, so
+  * SUM and AVG pass through values that fall.
   */
 class PolicyAgreementPropertySpec extends AnyFunSuite {
 
@@ -70,10 +72,19 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
       burstiness <- Gen.oneOf(0.3, 0.6, 0.9)
     } yield (qs, TestGen.stream(new Random(seed), n, burstiness = burstiness))
 
+  /** `caseGen` with every `v` moved down by 50, to -50 until 50. */
+  private def signedCaseGen(maxEvents: Int): Gen[(Vector[TrendQuery], Vector[Event])] =
+    caseGen(maxEvents).map { case (qs, events) =>
+      (qs, events.map(e => e.copy(num = e.num.map { case (a, x) => a -> (x - 50) })))
+    }
+
   private val engines: Seq[(String, (Seq[TrendQuery], Seq[Event]) => Map[String, PaneAgg])] = Seq(
     "never" -> (Engines.hamlet(_, _, NeverShare)),
     "always" -> (Engines.hamlet(_, _, AlwaysShare)),
     "dynamic" -> (Engines.hamlet(_, _, Dynamic())),
+    "never-sums" -> (Engines.hamlet(_, _, NeverShare, profile = RunningSums)),
+    "always-sums" -> (Engines.hamlet(_, _, AlwaysShare, profile = RunningSums)),
+    "dynamic-sums" -> (Engines.hamlet(_, _, Dynamic(), profile = RunningSums)),
     "greta" -> (Engines.greta(_, _)))
 
   private def check(prop: Prop, runs: Int): Unit = {
@@ -82,14 +93,21 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
     assert(res.passed, Pretty.pretty(res, Pretty.Params(2)))
   }
 
-  test("every policy gives the same channels (c, n, s, mn, mx)") {
-    check(Prop.forAll(caseGen(40)) { case (qs, events) =>
+  private def allAgree(gen: Gen[(Vector[TrendQuery], Vector[Event])]): Prop =
+    Prop.forAll(gen) { case (qs, events) =>
       val never = engines.head._2(qs, events)
       engines.tail.foreach { case (name, run) =>
         Engines.assertSame(run(qs, events), never, s"$name vs never, $qs")
       }
       true
-    }, runs = 300)
+    }
+
+  test("every policy gives the same channels (c, n, s, mn, mx)") {
+    check(allAgree(caseGen(40)), runs = 300)
+  }
+
+  test("with negative v every policy gives the same channels") {
+    check(allAgree(signedCaseGen(40)), runs = 300)
   }
 
   /** Sharon flattens one `E+` into prefix counts: no nested Kleene, no
@@ -98,8 +116,8 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
   private def sharonSupports(q: TrendQuery): Boolean = q.pattern != nested && q.edgePred.isEmpty &&
     (q.agg match { case Agg.Min(_, _) | Agg.Max(_, _) => false; case _ => true })
 
-  test("on tiny inputs every policy equals brute force") {
-    check(Prop.forAll(caseGen(12)) { case (qs, events) =>
+  private def equalsBrute(gen: Gen[(Vector[TrendQuery], Vector[Event])]): Prop =
+    Prop.forAll(gen) { case (qs, events) =>
       val expected = Engines.brute(qs, events)
       (engines :+ ("mcep" -> (Engines.mcep(_, _)))).foreach { case (name, run) =>
         Engines.assertSame(run(qs, events), expected, s"$name vs brute force, $qs")
@@ -109,6 +127,13 @@ class PolicyAgreementPropertySpec extends AnyFunSuite {
         Engines.assertSame(Engines.sharon(flat, events), expected.filter { case (id, _) => flat.exists(_.id == id) },
           s"sharon vs brute force, $flat")
       true
-    }, runs = 300)
+    }
+
+  test("on tiny inputs every policy equals brute force") {
+    check(equalsBrute(caseGen(12)), runs = 300)
+  }
+
+  test("on tiny inputs with negative v every policy equals brute force") {
+    check(equalsBrute(signedCaseGen(12)), runs = 300)
   }
 }

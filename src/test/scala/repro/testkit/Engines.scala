@@ -15,8 +15,8 @@ object Engines {
   def compile(qs: Seq[TrendQuery]): CompiledWorkload = Workload.compile(qs)
 
   def hamlet(qs: Seq[TrendQuery], events: Seq[Event], policy: SharingPolicy,
-             metrics: Metrics = new Metrics): Map[String, PaneAgg] =
-    new HamletExecutor(compile(qs), policy).processPaneAggs(events, metrics)
+             metrics: Metrics = new Metrics, profile: CostProfile = Faithful): Map[String, PaneAgg] =
+    new HamletExecutor(compile(qs), policy, profile).processPaneAggs(events, metrics)
 
   def greta(qs: Seq[TrendQuery], events: Seq[Event],
             metrics: Metrics = new Metrics): Map[String, PaneAgg] =
