@@ -72,12 +72,13 @@ case object RunningSums extends CostProfile
   * which subset of queries (§4.2 split/merge, §4.3 query-set choice).
   * Runtime switching needs no state migration, exactly as the paper
   * argues: a *merge* materializes a graphlet-level snapshot whose
-  * per-query values consolidate everything processed so far (per-query
-  * node walk + closed shared-graphlet sums — the O(k·g·t) merge cost of
-  * §4.2); a *split* "comes for free" — per-query graph construction just
-  * continues, with closed shared graphlets contributing at aggregate
-  * granularity (the paper's "snapshot x is replaced by its value per
-  * query").
+  * per-query values consolidate everything processed so far, read from
+  * each query's per-type sums of nodes and closed shared graphlets in
+  * O(channels × predecessor types) ([[QState.runningInput]]; §4.2 prices
+  * it at O(k·g·t)); a *split* "comes for free" — per-query graph
+  * construction just continues, with closed shared graphlets contributing
+  * at aggregate granularity (the paper's "snapshot x is replaced by its
+  * value per query").
   *
   * All per-event work is on type ids, bit sets and primitive arrays (see
   * DESIGN.md, "Engine data layout"); names were resolved in the plan.
@@ -90,13 +91,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private val queries = plan.queries
   private val nCh = layout.size
   private val ChC = 0
-  /** Whether the plan has a sharable type. Without one no graphlet is ever
-    * shared or merged, so the state only they read is neither built nor
-    * maintained.
-    */
+  /** Whether the plan has a sharable type: only then is a graphlet shared. */
   private val sharable = sharedTid >= 0
-  private def mergeTable(n: Int, keep: Boolean = sharable): Array[Double] =
-    if (keep) new Array[Double](n) else Array.emptyDoubleArray
 
   // ------------------------------------------------------------------
   // Per-query state (non-shared graph + shared-close sums + finals)
@@ -109,11 +105,11 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       * one's extremes.
       */
     val runSums = profile == RunningSums && !hasEdge && cq.minMaxTid < 0
-    val keepAll = sharable || runSums
 
     /** Non-shared graph nodes of this pane (plus, for edge-predicate
       * queries, materialized per-query values of shared-processed events —
-      * same-type pairs must be filterable per predecessor).
+      * same-type pairs must be filterable per predecessor). Under
+      * `runSums` the store only counts them.
       */
     val nodes = new NodeStore(cq, nCh)
     /** Σ of this query's values over events of *closed shared graphlets*,
@@ -121,21 +117,23 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       * stand-in for those events in later walks ("snapshot replaced by its
       * value per query", §4.2). `cumSharedSet` marks the types written.
       */
-    val cumShared = mergeTable(nT * nCh)
+    val cumShared = new Array[Double](nT * nCh)
     var cumSharedSet = 0L
     /** Σ of this query's values over *all* processed events per type
       * (nodes + closed shared graphlets) — lets a merge price its
       * graphlet-level snapshot from aggregates instead of re-walking the
       * graph (§4.2: merge cost is linear, not quadratic).
       */
-    val cumAll = mergeTable(nT * nCh, keepAll)
-    /** cum tables captured at the last matching mid-pattern negation, per
-      * (barrier, type): the part blocked from crossing the barrier.
+    val cumAll = new Array[Double](nT * nCh)
+    /** `cumAll` captured at the last matching mid-pattern negation, per
+      * (barrier, type): everything of the barrier's from-types processed
+      * before it, which may not cross it. Every path subtracts it.
       */
-    val blocked = mergeTable(nB * nT * nCh)
-    val blockedAll = mergeTable(nB * nT * nCh, keepAll)
+    val blockedAll = new Array[Double](nB * nT * nCh)
     /** Per barrier: the pane's event count at its last match (-1: none). */
     val blockedAt = Array.fill(nB)(-1L)
+    /** The from-types of every barrier that has matched. */
+    var blockedSet = 0L
 
     def addCum(tbl: Array[Double], tid: Int, v: Array[Double]): Unit = {
       val o = tid * nCh
@@ -147,49 +145,46 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       * negation barriers: what may not cross is the capture of the
       * applicable barrier that matched last. (Not the largest capture: a
       * cum table falls under SUM/AVG over negative values.) An unwritten
-      * `blk` entry is 0.
+      * capture entry is 0.
       */
-    def cumNet(cum: Array[Double], blk: Array[Double], T: Int, toTid: Int, ch: Int): Double = {
+    def cumNet(cum: Array[Double], T: Int, toTid: Int, ch: Int): Double = {
       var bl = 0.0
       var at = -1L
       var b = 0
       while (b < nB) {
         if (blockedAt(b) > at && TypeIds.has(cq.negFrom(b), T) && TypeIds.has(cq.negTo(b), toTid)) {
           at = blockedAt(b)
-          bl = blk((b * nT + T) * nCh + ch)
+          bl = blockedAll((b * nT + T) * nCh + ch)
         }
         b += 1
       }
       cum(T * nCh + ch) - bl
     }
 
-    /** A matched negative event of barrier `b`, before which `before` nodes
-      * were stored, blocks them and the current cum tables of the barrier's
-      * from-types.
+    /** A matched negative event of barrier `b` blocks the current `cumAll`
+      * of the barrier's from-types.
       */
-    def block(b: Int, before: Int): Unit = {
-      nodes.lastNeg(b) = before
+    def block(b: Int): Unit = {
       blockedAt(b) = nEvents
+      blockedSet |= cq.negFrom(b)
       var m = cq.negFrom(b)
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
-        val o = (b * nT + T) * nCh
-        if (sharable) System.arraycopy(cumShared, T * nCh, blocked, o, nCh)
-        if (keepAll) System.arraycopy(cumAll, T * nCh, blockedAll, o, nCh)
+        System.arraycopy(cumAll, T * nCh, blockedAll, (b * nT + T) * nCh, nCh)
       }
     }
 
     /** Add to `out` the sums in `cum` of the types in `types`, net of
       * barriers into a `tid` event.
       */
-    private def addNet(cum: Array[Double], blk: Array[Double], types: Long, tid: Int, out: Array[Double]): Unit = {
+    private def addNet(cum: Array[Double], types: Long, tid: Int, out: Array[Double]): Unit = {
       var m = types
       while (m != 0L) {
         val T = java.lang.Long.numberOfTrailingZeros(m)
         m &= m - 1
         var ch = 0
-        while (ch < nCh) { out(ch) += cumNet(cum, blk, T, tid, ch); ch += 1 }
+        while (ch < nCh) { out(ch) += cumNet(cum, T, tid, ch); ch += 1 }
       }
     }
 
@@ -199,16 +194,17 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       */
     def runningInput(tid: Int, out: Array[Double]): Unit = {
       val pm = cq.predMask(tid)
-      addNet(cumAll, blockedAll, pm, tid, out)
+      addNet(cumAll, pm, tid, out)
       metrics.evalOps += java.lang.Long.bitCount(pm).toLong * nCh
     }
 
     /** Predecessor input of a new event `e` of type `tid` into `out`. Under
       * running sums, [[runningInput]]. Otherwise the faithful walk over
-      * stored nodes plus the aggregate shared-close sums. An edge-pred query
-      * has no shared-close sums — its shared events are materialized in
-      * `nodes` instead. Types with no shared-close sum are skipped: their
-      * terms (and blocked parts) are 0.
+      * every stored node, plus `cumShared` net of the barrier captures over
+      * the types that have either (`cumAll` = nodes + `cumShared`, so the
+      * blocked nodes are subtracted too). An edge-pred query keeps its shared
+      * events in `nodes`, and `Workload.compile` rejects a barrier into its
+      * own from-types, so no capture holds a node its filter dropped.
       */
     def predecessorBase(e: Event, tid: Int, out: Array[Double]): Unit = {
       java.util.Arrays.fill(out, 0.0)
@@ -216,7 +212,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       else {
         val pm = cq.predMask(tid)
         nodes.walk(e, tid, pm, out, metrics) // O(n): the published NS cost
-        addNet(cumShared, blocked, pm & cumSharedSet, tid, out)
+        addNet(cumShared, pm & (cumSharedSet | blockedSet), tid, out)
       }
     }
 
@@ -250,7 +246,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       e.num.get(st.cq.minMaxAttr).foreach { a => mn = math.min(mn, a); mx = math.max(mx, a) }
     }
     if (v(ChC) == 0) { mn = Double.PositiveInfinity; mx = Double.NegativeInfinity }
-    st.nodes.append(e, tid, v, mn, mx)
+    if (st.runSums) st.nodes.count() else st.nodes.append(e, tid, v, mn, mx)
     if (TypeIds.has(st.cq.endMask, tid)) {
       var ch = 0
       while (ch < nCh) { st.finalAcc(ch) += v(ch); ch += 1 }
@@ -271,12 +267,11 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       st.finalMin = Double.PositiveInfinity
       st.finalMax = Double.NegativeInfinity
     }
-    val before = st.nodes.size
     val positive = TypeIds.has(st.cq.typesMask, tid)
     if (positive) processNS(st, e, tid)
     var b = 0
-    while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b, before); b += 1 }
-    if (positive && st.keepAll) st.addCum(st.cumAll, tid, scratch)
+    while (b < st.nB) { if (st.cq.negTid(b) == tid) st.block(b); b += 1 }
+    if (positive) st.addCum(st.cumAll, tid, scratch)
   }
 
   // ------------------------------------------------------------------
@@ -287,22 +282,24 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
   private val isMember = new Array[Boolean](k)
   /** Whether the members' start flags for the shared type agree. */
   private var shStartUniform = true
-  /** Expressions of the graphlet's stored events, `nCh` per event. */
-  private var shExprs = if (sharable) new Array[LinExpr](64 * nCh) else null
-  private var shCount = 0
-  /** Σ over stored events and channels of the expression sizes. */
-  private var shTerms = 0L
-  private val sumBuilder = if (sharable) new LinExpr.Builder else null
   /** Under [[RunningSums]]: the running Σ of the stored events'
     * expressions, per channel; `null` under [[Faithful]].
     */
   private val shSum = if (sharable && profile == RunningSums) new Array[LinExpr](nCh) else null
+  /** Under [[Faithful]]: expressions of the graphlet's stored events, `nCh`
+    * per event. Under running sums only their count and size are kept.
+    */
+  private var shExprs = if (sharable && shSum == null) new Array[LinExpr](64 * nCh) else null
+  private var shCount = 0
+  /** Σ over stored events and channels of the expression sizes. */
+  private var shTerms = 0L
+  private val sumBuilder = if (sharable) new LinExpr.Builder else null
 
   /** Snapshot table S of the open graphlet. Its snapshots are numbered
     * from 0 (the graphlet-level one); snapshot `s` has the `LinExpr` slots
     * `s * nCh + ch`, and member `q`'s value of slot `x` is at `x * k + q`.
     */
-  private var snapVals = mergeTable(8 * k * nCh)
+  private var snapVals = new Array[Double](8 * k * nCh)
   /** Snapshots of the open graphlet; 0 while none is open. */
   private var shSnaps = 0
   private def shActive: Boolean = shSnaps > 0
@@ -365,8 +362,8 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
 
   /** Open a shared graphlet for `members`: create the graphlet-level
     * snapshot (Definition 8) valued per query from everything processed so
-    * far. This is also exactly the *merge* of §4.2, with its O(k·g·t)
-    * node-walk cost.
+    * far. This is also exactly the *merge* of §4.2, priced from per-type
+    * sums: O(channels × predecessor types) per member.
     */
   private def openShared(members: Vector[Int], tid: Int): Unit = {
     newSnap() // snapshot 0: slots 0 until nCh
@@ -478,10 +475,10 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       var ch = 0
       while (ch < nCh) { exprs(ch) = LinExpr.ofSlot(first + ch); ch += 1 }
     }
-    if ((shCount + 1) * nCh > shExprs.length) shExprs = java.util.Arrays.copyOf(shExprs, 2 * shExprs.length)
-    System.arraycopy(exprs, 0, shExprs, shCount * nCh, nCh)
-    shCount += 1
-    if (shSum != null) {
+    if (shSum == null) {
+      if ((shCount + 1) * nCh > shExprs.length) shExprs = java.util.Arrays.copyOf(shExprs, 2 * shExprs.length)
+      System.arraycopy(exprs, 0, shExprs, shCount * nCh, nCh)
+    } else {
       var ch = 0
       while (ch < nCh) {
         metrics.evalOps += (shSum(ch).size + exprs(ch).size).toLong
@@ -492,6 +489,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
         ch += 1
       }
     }
+    shCount += 1
     shTerms += exprs.iterator.map(_.size.toLong).sum
     // Edge-predicate members materialize their per-query value of this
     // event into their graph (predecessor base for later filtered walks).
@@ -520,7 +518,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
       // Sum entries written: the cumShared types, and each from-type of a barrier that has blocked.
       var entries = java.lang.Long.bitCount(st.cumSharedSet)
       var nb = 0
-      while (nb < st.nB) { if (st.nodes.lastNeg(nb) >= 0) entries += java.lang.Long.bitCount(st.cq.negFrom(nb)); nb += 1 }
+      while (nb < st.nB) { if (st.blockedAt(nb) >= 0) entries += java.lang.Long.bitCount(st.cq.negFrom(nb)); nb += 1 }
       b += entries.toLong * nCh * 8 + nCh * 8L
       b += st.nodes.size.toLong * (48L + nCh * 8L)
       i += 1

@@ -4,7 +4,7 @@ package repro.metrics
   * them into the paper's metrics (latency, throughput, peak memory,
   * snapshot counts, sharing ratios — §6.1 "Metrics").
   *
-  * `modelBytes` follows the paper's definition of peak memory: bytes to
+  * `peakBytes` follows the paper's definition of peak memory: bytes to
   * store snapshot expressions and values, matched-event state, per-query
   * aggregates (and, for the two-step baseline, the current trend).
   */
@@ -20,7 +20,13 @@ final class Metrics extends Serializable {
   var decisionNanos: Long     = 0 // time spent deciding
   var plansExamined: Long     = 0 // m+1 per decision (§4.3)
   var evalOps: Long           = 0 // expression-evaluation multiply-adds
-  var peakBytes: Long         = 0 // modeled peak memory
+  /** Modeled peak memory: the largest state `observeBytes` saw while this
+    * object collected. `+=` adds the other object's peak, as if both
+    * states were live at once, so a `Metrics` folded from per-unit ones
+    * holds the sum of their peaks (sparkbench reports it as
+    * `peak_bytes_sum`), not the peak of any one moment.
+    */
+  var peakBytes: Long         = 0
   var wallNanos: Long         = 0 // engine wall-clock
   var truncations: Long       = 0 // safety caps hit (the results are then lower bounds)
 

@@ -119,6 +119,8 @@ object Workload {
           require(tpl.midNegs.isEmpty, s"${q.id}: MIN/MAX with mid-pattern negation is unsupported (DESIGN.md)")
         case _ =>
       }
+      require(q.edgePred.isEmpty || tpl.midNegs.forall(nb => nb.fromTypes.intersect(nb.toTypes).isEmpty),
+        s"${q.id}: an edge predicate with a negation barrier from a type to itself is unsupported (DESIGN.md)")
     }
     val types = TypeIds(templates.flatMap(_._2.typeUniverse).distinct.sorted.toVector)
     val compiled = templates.toVector.map { case (q, tpl) =>

@@ -135,6 +135,18 @@ class WorkloadSpec extends AnyFunSuite {
     Workload.compile(Seq(q("s", Pattern.seq("A", "!C", "B+"), Agg.Sum("B", "v"))))
   }
 
+  test("an edge predicate with a barrier from a type to itself is rejected with a clear message") {
+    val rising = Some(EdgePred("v", "<"))
+    val e = intercept[IllegalArgumentException](Workload.compile(Seq(
+      q("ok", Pattern.seq("A", "B+")),
+      q("self", Pattern.seq("B+", "!C", "B+")).copy(edgePred = rising))))
+    assert(e.getMessage.contains("self: an edge predicate with a negation barrier from a type to itself"))
+    // The same barrier without an edge predicate, and an edge predicate with
+    // a barrier between two other types, stay supported.
+    Workload.compile(Seq(q("self", Pattern.seq("B+", "!C", "B+"))))
+    Workload.compile(Seq(q("e", Pattern.seq("A", "!C", "B+")).copy(edgePred = rising)))
+  }
+
   test("type ids, type masks and predecessor masks are resolved at compile time") {
     val wl = Workload.compile(Seq(
       q("q1", Pattern.seq("A", "B+")),
