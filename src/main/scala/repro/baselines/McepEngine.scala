@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.EnginePlan
+import repro.hamlet.{EnginePlan, MatchVector}
 import repro.metrics.Metrics
 import repro.query.TypeIds
 
@@ -40,14 +40,15 @@ final class McepEngine(plan: EnginePlan, maxVisits: Long = 20_000_000L) {
     val n = evs.length
 
     // Per-query matched flags and negation indices.
-    val matched = Array.tabulate(k, n)((qi, i) => queries(qi).matches(evs(i), tid(i)))
+    val matched = new MatchVector(k)
+    matched.fill(plan, n)(tid(_), evs(_))
     // Trailing negation: for query qi, ids (indices) of matched neg events.
     val trailNeg: Array[Array[Int]] = Array.tabulate(k) { qi =>
-      (0 until n).filter(i => TypeIds.has(queries(qi).trailingMask, tid(i)) && matched(qi)(i)).toArray
+      (0 until n).filter(i => TypeIds.has(queries(qi).trailingMask, tid(i)) && matched(i, qi)).toArray
     }
     // Mid negation: (query, barrier) -> sorted indices of matched neg events.
     val midNeg: Array[Array[Array[Int]]] = Array.tabulate(k) { qi =>
-      queries(qi).negTid.map(nt => (0 until n).filter(i => tid(i) == nt && matched(qi)(i)).toArray)
+      queries(qi).negTid.map(nt => (0 until n).filter(i => tid(i) == nt && matched(i, qi)).toArray)
     }
 
     def hasBetween(sorted: Array[Int], lo: Int, hi: Int): Boolean = {
@@ -65,7 +66,7 @@ final class McepEngine(plan: EnginePlan, maxVisits: Long = 20_000_000L) {
       val cq = queries(qi)
       val (ft, tt) = (tid(i), tid(j))
       if (!TypeIds.has(cq.predMask(tt), ft)) return false
-      if (!matched(qi)(j)) return false
+      if (!matched(j, qi)) return false
       cq.q.edgePred match {
         case Some(ep) if ft == tt => if (!ep.holds(evs(i), evs(j))) return false
         case _                    =>
@@ -142,7 +143,7 @@ final class McepEngine(plan: EnginePlan, maxVisits: Long = 20_000_000L) {
       var any = false
       var qi = 0
       while (qi < k) {
-        if (TypeIds.has(queries(qi).startMask, tid(i)) && matched(qi)(i)) {
+        if (TypeIds.has(queries(qi).startMask, tid(i)) && matched(i, qi)) {
           init(qi) = true; any = true
         }
         qi += 1

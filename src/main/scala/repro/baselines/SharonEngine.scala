@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.PaneAgg
 import repro.events.Event
-import repro.hamlet.EnginePlan
+import repro.hamlet.{EnginePlan, MatchVector}
 import repro.metrics.Metrics
 import repro.query.{CompiledQuery, PEvent, PKleene, PNot, PSeq, TypeIds}
 
@@ -66,12 +66,16 @@ final class SharonEngine(plan: EnginePlan, fixedLen: Int, maxLen: Int = 64) {
     val evs = events.toArray
     val tids = evs.map(ev => types.of(ev.typ))
     val out = new Array[PaneAgg](queries.size)
+    // The events any member references, and every member's predicate outcomes on them.
+    val sel = evs.indices.filter(i => tids(i) >= 0 && TypeIds.has(plan.universeMask, tids(i))).toArray
+    val matches = new MatchVector(queries.size)
+    matches.fill(plan, sel.length)(p => tids(sel(p)), p => evs(sel(p)))
 
     for (qi <- queries.indices) {
       val cq = queries(qi)
       val (pre, e, post) = shapes(qi)
-      val idx = evs.indices.filter(i => tids(i) >= 0 && TypeIds.has(cq.universeMask, tids(i)))
-      val nE = idx.count(i => tids(i) == e && cq.matches(evs(i), e))
+      val idx = sel.indices.filter(p => TypeIds.has(cq.universeMask, tids(sel(p))))
+      val nE = idx.count(p => tids(sel(p)) == e && matches(p, qi))
       val L = math.min(math.max(fixedLen, math.max(nE, 1)), maxLen)
       if (nE > maxLen) metrics.truncations += 1
 
@@ -97,10 +101,10 @@ final class SharonEngine(plan: EnginePlan, fixedLen: Int, maxLen: Int = 64) {
       }
 
       val negMask = cq.negTid.foldLeft(0L)((m, t) => m | (1L << t))
-      idx.foreach { x =>
-        val ev = evs(x)
-        val tid = tids(x)
-        val matched = cq.matches(ev, tid)
+      idx.foreach { p =>
+        val ev = evs(sel(p))
+        val tid = tids(sel(p))
+        val matched = matches(p, qi)
         val isTrailNeg = matched && TypeIds.has(cq.trailingMask, tid)
         val isPos = matched && TypeIds.has(cq.typesMask, tid)
         val isNeg = matched && TypeIds.has(negMask, tid)

@@ -3,13 +3,14 @@ package repro.hamlet
 import repro.core.{LinExpr, PaneAgg}
 import repro.events.Event
 import repro.metrics.Metrics
-import repro.query.{CompiledQuery, TypeIds}
+import repro.query.{CompiledQuery, Pred, TypeIds}
 
 /** Everything an engine needs that does not depend on the pane: the
   * queries, the shared Kleene type's id, the members' start flags and
-  * Eq. 8 constants for it, the channel layout, and the set's type
-  * universe. Built once per sharable set (or singleton query) when the
-  * executor is created, and once per job for the MCEP and Sharon baselines.
+  * Eq. 8 constants for it, the channel layout, the set's type universe,
+  * and the members' predicate table. Built once per sharable set (or
+  * singleton query) when the executor is created, and once per job for
+  * the MCEP and Sharon baselines.
   */
 final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[String]) extends Serializable {
   require(queries.nonEmpty, "an engine needs at least one query")
@@ -35,6 +36,18 @@ final class EnginePlan(val queries: Vector[CompiledQuery], sharedType: Option[St
   /** Types any member references: other events neither count nor end bursts. */
   val universeMask: Long = queries.map(_.universeMask).reduce(_ | _)
   val anyEdgePred: Boolean = queries.exists(_.q.edgePred.isDefined)
+  /** Per type id: the members' distinct single-event predicates on it. */
+  val predsOn: Array[Array[Pred]] =
+    Array.tabulate(nT)(t => queries.flatMap(_.q.preds.filter(_.typ == types.names(t))).distinct.toArray)
+  /** Per type id and member: the indices into `predsOn` of the member's
+    * predicates on the type, or `null` when its type universe lacks it.
+    */
+  val predIdx: Array[Array[Array[Int]]] = Array.tabulate(nT) { t =>
+    queries.map { q =>
+      if (!TypeIds.has(q.universeMask, t)) null
+      else q.q.preds.filter(_.typ == types.names(t)).map(predsOn(t).indexOf(_)).distinct.toArray
+    }.toArray
+  }
 }
 
 /** How an engine sums a new event's predecessors. Both profiles give the
@@ -538,7 +551,7 @@ final class SetPaneEngine(plan: EnginePlan, policy: SharingPolicy, metrics: Metr
     // (Definitions 6 and 10). Bursts alternate types, so an open graphlet
     // is never of this burst's type.
     closeShared()
-    burstMatches.fill(queries, tid, until - from)(i => events(sel(from + i)))
+    burstMatches.fill(plan, until - from)(_ => tid, i => events(sel(from + i)))
     if (tid == sharedTid && k > 1) {
       metrics.totalBursts += 1
       val t0 = System.nanoTime()

@@ -1,7 +1,6 @@
 package repro.hamlet
 
 import repro.events.Event
-import repro.query.{CompiledQuery, TypeIds}
 
 /** How an engine decides to share bursts of the sharable Kleene type. */
 sealed trait SharingPolicy extends Serializable
@@ -32,32 +31,43 @@ final case class Decision(
   def share: Boolean = sharedIdx.size >= 2 && benefit > 0
 }
 
-/** Predicate outcomes of one burst: whether burst event `i` satisfies the
-  * single-event predicates of query `q`. Filled once per burst, then read
+/** Predicate outcomes of a run of events: whether event `i` satisfies the
+  * single-event predicates of member `q`. Filled once per burst, then read
   * by the optimizer and by both propagation paths, so no predicate runs
-  * twice on the same (event, query).
+  * twice on the same event; MCEP and Sharon fill one per pane.
   */
 final class MatchVector(val k: Int) {
   private var bits = new Array[Boolean](math.max(k, 1) * 64)
+  private var ok = new Array[Boolean](8)
   private var n = 0
 
   def size: Int = n
   def apply(i: Int, q: Int): Boolean = bits(i * k + q)
 
-  /** Evaluate `queries` (the engine's, in engine order) on the `size`
-    * events `event(0 until size)`, all of type id `tid`. A query whose type
-    * universe lacks `tid` matches nothing.
+  /** Evaluate the members of `plan` on the `size` events `event(i)`, of
+    * type id `tid(i)`: each distinct predicate on the type once per event
+    * ([[EnginePlan.predsOn]]), then each member's conjunction. A member
+    * whose type universe lacks the type matches nothing.
     */
-  def fill(queries: Vector[CompiledQuery], tid: Int, size: Int)(event: Int => Event): Unit = {
+  def fill(plan: EnginePlan, size: Int)(tid: Int => Int, event: Int => Event): Unit = {
     if (bits.length < size * k) bits = new Array[Boolean](2 * size * k)
     n = size
     var i = 0
     while (i < size) {
+      val t = tid(i)
       val e = event(i)
+      val ps = plan.predsOn(t)
+      if (ok.length < ps.length) ok = new Array[Boolean](2 * ps.length)
+      var j = 0
+      while (j < ps.length) { ok(j) = ps(j).holds(e); j += 1 }
+      val need = plan.predIdx(t)
       var q = 0
       while (q < k) {
-        val cq = queries(q)
-        bits(i * k + q) = TypeIds.has(cq.universeMask, tid) && cq.matches(e, tid)
+        val idx = need(q)
+        var m = idx != null
+        j = 0
+        while (m && j < idx.length) { m = ok(idx(j)); j += 1 }
+        bits(i * k + q) = m
         q += 1
       }
       i += 1

@@ -1,7 +1,5 @@
 package repro.query
 
-import repro.events.Event
-
 /** Dense ids of the event types a workload references (positive and
   * negated), in name order. Engines index their per-type state by these ids
   * and hold type sets as `Long` bit sets, so a workload may reference at
@@ -51,19 +49,6 @@ final case class CompiledQuery(
     case Agg.Min(t, a) => (types.of(t), a)
     case Agg.Max(t, a) => (types.of(t), a)
     case _             => (-1, null: String)
-  }
-  /** Single-event predicates by type id (empty: every event of the type matches). */
-  private val predsOf: Array[Array[Pred]] =
-    Array.tabulate(types.size)(t => q.preds.filter(_.typ == types.names(t)).toArray)
-
-  /** Whether event `e`, whose type id is `tid`, satisfies every predicate
-    * on its type (events of types without predicates always pass).
-    */
-  def matches(e: Event, tid: Int): Boolean = {
-    val ps = predsOf(tid)
-    var i = 0
-    while (i < ps.length) { if (!ps(i).holds(e)) return false; i += 1 }
-    true
   }
 }
 

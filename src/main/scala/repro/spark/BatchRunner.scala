@@ -27,10 +27,18 @@ object BatchRunner {
   final case class WindowRow(queryId: String, grp: String, windowInstance: Long, windowEndPane: Long,
                              value: Option[Double])
 
-  /** The events as a Dataset, encoded in Spark tasks rather than on the driver. */
+  /** The events as a Dataset, in `defaultParallelism` slices: each slice
+    * is packed on the driver as one [[EventBlocks]] block and unpacked
+    * into `Event`s in its Spark task, where the Dataset encoder runs.
+    */
   def toDS(spark: SparkSession, events: Seq[Event]): Dataset[Event] = {
     import spark.implicits._
-    spark.createDataset(spark.sparkContext.parallelize(events, spark.sparkContext.defaultParallelism))
+    val n = spark.sparkContext.defaultParallelism
+    val evs = events.toIndexedSeq
+    val blocks = (0 until n).map { i =>
+      EventBlocks.encode(evs.slice((i.toLong * evs.size / n).toInt, ((i + 1).toLong * evs.size / n).toInt))
+    }
+    spark.createDataset(spark.sparkContext.parallelize(blocks, n).flatMap(EventBlocks.decode))
   }
 
   /** Per-(query, group, pane) aggregate channels. */

@@ -25,7 +25,7 @@ class SharingOptimizerSpec extends AnyFunSuite {
                      typ: String, eventsSoFar: Long): Decision = {
     val plan = new EnginePlan(qs, Some(typ))
     val matches = new MatchVector(qs.size)
-    matches.fill(qs, plan.sharedTid, burst.size)(burst)
+    matches.fill(plan, burst.size)(_ => plan.sharedTid, burst)
     SharingOptimizer.decide(policy, plan, matches, eventsSoFar)
   }
 

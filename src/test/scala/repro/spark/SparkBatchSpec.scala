@@ -1,5 +1,7 @@
 package repro.spark
 
+import java.nio.charset.StandardCharsets.UTF_8
+
 import scala.util.Random
 
 import org.apache.spark.sql.functions.col
@@ -29,10 +31,49 @@ class SparkBatchSpec extends SparkSpec {
 
   private val w42 = QueryWindow(4, 2)
 
+  /** An event's fields with each value as its bits, so -0.0 and NaN
+    * compare exactly (`Event` equality has -0.0 == 0.0 and NaN != NaN), and
+    * each string escaped to ASCII, so a failure message with an unpaired
+    * surrogate can still be written to the test log.
+    */
+  private def exact(e: Event) = {
+    def esc(s: String) = s.flatMap(c => if (c < 128 && c != '\\') c.toString else f"\\u${c.toInt}%04x")
+    (e.id, e.ts, esc(e.typ), esc(e.grp), e.num.map { case (k, v) => esc(k) -> java.lang.Double.doubleToRawLongBits(v) },
+      e.str.map { case (k, v) => esc(k) -> esc(v) })
+  }
+
+  /** Events with every edge of the ingest blocks: empty, small and large
+    * maps, non-ASCII and unpaired-surrogate strings, -0.0 and NaN, and ids
+    * out of stream order.
+    */
+  private val oddEvents: Vector[Event] = {
+    val many = (0 until 7).map(i => s"a$i" -> (i * 1.5 - 3)).toMap
+    Vector(
+      Event(5, 10, "A", "g0"),
+      Event(2, 10, "B", "g0", num = many, str = Map("k" -> "v")),
+      Event(9, 20, "Ä", "grüße ✓", num = Map("v" -> -0.0, "w" -> Double.NaN), str = Map("ключ" -> "値")),
+      Event(1, 30, "B", "g\uD800x", num = Map("v\uDC00" -> 1.0), str = Map("s" -> "\uDBFF", "t" -> "")),
+      Event(7, 30, "", "g0", num = Map("v" -> Double.NegativeInfinity, "x" -> Double.MinPositiveValue)),
+      Event(0, 40, "C", "g1", str = (0 until 6).map(i => s"s$i" -> s"v${i % 2}").toMap),
+    )
+  }
+
   test("toDS round-trips events including attribute maps") {
-    val events = mkEvents(1, 50, 3, 2, 120_000L)
-    val ds = BatchRunner.toDS(spark, events)
-    assert(ds.collect().toVector.sortBy(_.id) == events)
+    // Spark stores strings as UTF-8 (`getBytes(UTF_8)`), so an unpaired
+    // surrogate comes back as '?' whatever the ingest does; the ingest
+    // block itself keeps it.
+    def utf8(s: String) = new String(s.getBytes(UTF_8), UTF_8)
+    def viaSpark(e: Event) = Event(e.id, e.ts, utf8(e.typ), utf8(e.grp),
+      e.num.map { case (k, v) => utf8(k) -> v }, e.str.map { case (k, v) => utf8(k) -> utf8(v) })
+    assert(oddEvents.map(viaSpark) != oddEvents)
+    assert(EventBlocks.decode(EventBlocks.encode(oddEvents)).map(exact).toVector == oddEvents.map(exact))
+    // 1 and 2 events: fewer than the slices, so most blocks are empty.
+    for (events <- Seq(mkEvents(1, 50, 3, 2, 120_000L), oddEvents, oddEvents.take(1), oddEvents.take(2))) {
+      val got = BatchRunner.toDS(spark, events).collect().toVector.sortBy(_.id)
+      val want = events.map(viaSpark).sortBy(_.id)
+      assert(got.map(exact) == want.map(exact))
+      assert(got.filterNot(_.num.values.exists(_.isNaN)) == want.filterNot(_.num.values.exists(_.isNaN)))
+    }
   }
 
   test("paneResults equals direct executor output across groups and panes") {
