@@ -6,8 +6,9 @@ import scala.collection.mutable
 
 import repro.events.Event
 
-/** A slice of events as one compact byte block, so that `toDS` ships one
-  * array per slice instead of Java-serializing each `Event` and its maps.
+/** Events as one compact byte block, so that `toDS` ships one array per
+  * slice and `paneResults` shuffles one array per (task, group), instead
+  * of serializing each `Event` and its maps.
   *
   * Layout (big-endian): the string dictionary (count, then each string as
   * its length and UTF-16 chars, so every string round-trips exactly), the
@@ -18,7 +19,7 @@ import repro.events.Event
 private[spark] object EventBlocks {
 
   /** `events` as one block, in their order. */
-  def encode(events: Seq[Event]): Array[Byte] = {
+  def encode(events: collection.Seq[Event]): Array[Byte] = {
     val dict = mutable.LinkedHashMap.empty[String, Int]
     def id(s: String): Int = dict.getOrElseUpdate(s, dict.size)
     var bytes = 8L

@@ -1,9 +1,13 @@
 package repro.spark
 
 import java.nio.charset.StandardCharsets.UTF_8
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
+  SparkListenerStageCompleted, StageInfo}
 import org.apache.spark.sql.functions.col
 
 import repro.{Oracle, SparkSpec}
@@ -112,6 +116,53 @@ class SparkBatchSpec extends SparkSpec {
     val empty = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, Seq.empty))
     assert(empty.count() == 0)
     assert(BatchRunner.windowed(spark, wl, empty).count() == 0)
+  }
+
+  test("one batch pass shuffles one block per (slice, group) and rolls windows up in the pane task") {
+    val wl = Workload.compile(Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
+      TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42)))
+    val groups = 4
+    val events = mkEvents(6, 600, groups, 10, wl.paneMs)
+    val paneRows = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)).count()
+
+    // The stages of the jobs run under a marker property, read once the
+    // listener has seen the job end.
+    val sc = spark.sparkContext
+    val marker = "repro.test.pass"
+    val jobs = new ConcurrentLinkedQueue[Int]()
+    val stageIds = new ConcurrentLinkedQueue[Int]()
+    val stages = new ConcurrentLinkedQueue[StageInfo]()
+    val ended = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty(marker) != null) {
+          jobs.add(e.jobId)
+          stageIds.addAll(e.stageIds.asJava)
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (stageIds.contains(e.stageInfo.stageId)) stages.add(e.stageInfo)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = if (jobs.contains(e.jobId)) ended.countDown()
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(marker, "1")
+    val windows = try {
+      BatchRunner.windowed(spark, wl, BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)))
+        .collect()
+    } finally sc.setLocalProperty(marker, null)
+    assert(ended.await(30, TimeUnit.SECONDS))
+    sc.removeSparkListener(listener)
+    assert(windows.nonEmpty && jobs.size == 1)
+
+    def written(s: StageInfo) = s.taskMetrics.shuffleWriteMetrics.recordsWritten
+    val writers = stages.asScala.toVector.filter(written(_) > 0).sortBy(_.stageId)
+    assert(writers.size == 2, s"shuffle-writing stages: ${writers.map(s => (s.stageId, written(s)))}")
+    val (ingest, rollup) = (writers(0), writers(1))
+    val slices = sc.defaultParallelism
+    assert(ingest.numTasks == slices)
+    assert(written(ingest) <= slices * groups, s"${written(ingest)} event-shuffle records for ${events.size} events")
+    assert(written(rollup) <= rollup.numTasks * groups)
+    assert(written(rollup) < paneRows, s"${written(rollup)} roll-up records for $paneRows pane rows")
   }
 
   test("policies agree through the Spark runner") {

@@ -3,6 +3,7 @@ package repro.spark
 import scala.collection.mutable
 import scala.util.Random
 
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
@@ -89,6 +90,31 @@ class WindowingSpec extends SparkSpec {
       StructField("windowInstance", LongType, nullable = false),
       StructField("windowEndPane", LongType, nullable = false),
       StructField("value", DoubleType, nullable = true))))
+  }
+
+  test("partials of a group merge across tasks: rows spread over partitions roll up as from one") {
+    import spark.implicits._
+    val wl = Workload.compile(Seq(
+      TrendQuery("a", Pattern.seq("A", "B+"), Agg.Avg("B", "v"), window = QueryWindow(8, 2)),
+      TrendQuery("b", Pattern.seq("C", "B+"), Agg.Max("B", "v"), window = QueryWindow(6, 2))))
+    // Integer channels, so every order of summing gives the same bits.
+    val spread = (0L until 20L).flatMap(p => Seq(
+      pr("a", "g", p, (p % 3).toDouble, n = (1 + p % 2).toDouble, s = (2 * p).toDouble),
+      pr("b", "g", p, 1, n = 1, s = 0, mn = (-p).toDouble, mx = (p * 7 % 11).toDouble)))
+    val apart = (0L until 20L).map(p => pr("a", "h", p, 1, n = 1, s = p.toDouble))
+    def rows(ds: Dataset[PaneResult]) =
+      BatchRunner.windowed(spark, wl, ds).collect().toVector
+        .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3), Option(r.getAs[java.lang.Double](4))))
+        .sortBy(r => (r._1, r._2, r._3))
+
+    val one = rows(spark.createDataset(spread ++ apart).repartition(1))
+    // "g" round-robin over 7 partitions, "h" alone in an eighth.
+    val many = spark.createDataset(spread).repartition(7).union(spark.createDataset(apart).repartition(1))
+    val groupsPerPartition = many.rdd.mapPartitions(it => Iterator(it.map(_.grp).toSet)).collect().toVector
+    assert(groupsPerPartition.count(_.contains("g")) == 7)
+    assert(groupsPerPartition.count(_.contains("h")) == 1 && groupsPerPartition.contains(Set("h")))
+    assert(one.nonEmpty && one.map(_._2).toSet == Set("g", "h"))
+    assert(rows(many) == one)
   }
 
   /** Plain Scala roll-up: (query, group, window instance) → (end pane, value). */
