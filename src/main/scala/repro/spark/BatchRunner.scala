@@ -102,11 +102,15 @@ object BatchRunner {
       .partitionBy(partitioner(spark))
       .mapPartitions { parts =>
         byGroup(parts)(_._1).iterator.flatMap { case (grp, ps) =>
-          val w = new Windows
-          ps.foreach(p => w.unpack(p._2))
-          w.sums.iterator.map { case ((q, i), a) =>
-            val (id, wp, sp, agg) = qs(q)
-            WindowRow(id, grp, i, i * sp + wp, value(agg, a))
+          // Behind `paneResults` a group arrives as one partial: its rows
+          // come straight from the packed array.
+          val packed =
+            if (ps.size == 1) ps.head._2
+            else { val w = new Windows; ps.foreach(p => w.unpack(p._2)); w.pack }
+          Iterator.range(0, packed.length, 7).map { j =>
+            val (id, wp, sp, agg) = qs(packed(j).toInt)
+            val i = packed(j + 1)
+            WindowRow(id, grp, i, i * sp + wp, value(agg, Windows.agg(packed, j)))
           }
         }
       }
@@ -129,7 +133,7 @@ object BatchRunner {
     * c, n, s, mn and mx.
     */
   private final class Windows {
-    val sums = mutable.HashMap.empty[(Int, Long), PaneAgg]
+    private val sums = mutable.HashMap.empty[(Int, Long), PaneAgg]
 
     def add(q: Int, i: Long, a: PaneAgg): Unit = sums.updateWith((q, i))(o => Some(o.fold(a)(_ + a)))
 
@@ -148,12 +152,15 @@ object BatchRunner {
 
     def unpack(p: Array[Long]): Unit = {
       var j = 0
-      while (j < p.length) {
-        add(p(j).toInt, p(j + 1), PaneAgg(longBitsToDouble(p(j + 2)), longBitsToDouble(p(j + 3)),
-          longBitsToDouble(p(j + 4)), longBitsToDouble(p(j + 5)), longBitsToDouble(p(j + 6))))
-        j += 7
-      }
+      while (j < p.length) { add(p(j).toInt, p(j + 1), Windows.agg(p, j)); j += 7 }
     }
+  }
+
+  private object Windows {
+    /** The channels of the instance packed at `p(j)`. */
+    def agg(p: Array[Long], j: Int): PaneAgg =
+      PaneAgg(longBitsToDouble(p(j + 2)), longBitsToDouble(p(j + 3)), longBitsToDouble(p(j + 4)),
+        longBitsToDouble(p(j + 5)), longBitsToDouble(p(j + 6)))
   }
 
   private def value(agg: Agg, a: PaneAgg): Option[Double] = agg match {

@@ -7,8 +7,9 @@ import scala.collection.mutable
 import repro.events.Event
 
 /** Events as one compact byte block, so that `toDS` ships one array per
-  * slice and `paneResults` shuffles one array per (task, group), instead
-  * of serializing each `Event` and its maps.
+  * slice, `paneResults` shuffles one array per (task, group) and
+  * `StreamingRunner` keeps one array of state per group, instead of
+  * serializing each `Event` and its maps.
   *
   * Layout (big-endian): the string dictionary (count, then each string as
   * its length and UTF-16 chars, so every string round-trips exactly), the

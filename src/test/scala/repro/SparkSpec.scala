@@ -1,5 +1,8 @@
 package repro
 
+import java.nio.file.{Files, Path}
+
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -20,6 +23,12 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `f` on a new temporary directory, deleted afterwards with its contents. */
+  def withTempDir[A](f: Path => A): A = {
+    val dir = Files.createTempDirectory("repro")
+    try f(dir) finally FileUtils.deleteDirectory(dir.toFile)
+  }
 
   /** `got` and `want` hold the same (query, group, pane) rows, each once,
     * and every channel of a row agrees ([[PaneAgg.agrees]]).

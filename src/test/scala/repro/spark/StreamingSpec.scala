@@ -1,7 +1,16 @@
 package repro.spark
 
+import java.nio.file.Files
+import java.nio.file.attribute.PosixFilePermissions
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
+import jdk.jfr.Recording
+import jdk.jfr.consumer.RecordingFile
+import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.StreamingQuery
 
@@ -52,6 +61,34 @@ class StreamingSpec extends SparkSpec {
   }
 
   private def key(r: PaneResult) = (r.queryId, r.grp, r.pane)
+
+  private def flush(wl: CompiledWorkload, events: Seq[Event]): Seq[Event] =
+    StreamingRunner.flushEvents(events.map(_.grp).distinct, events.map(_.ts).max + wl.paneMs * 10)
+
+  /** Starts a query on `checkpoint`, feeds it `batches` one micro-batch
+    * each, stops it and returns the rows it emitted.
+    */
+  private def runOn(
+      checkpoint: String,
+      wl: CompiledWorkload,
+      input: MemoryStream[Event],
+      batches: Seq[Seq[Event]],
+  ): Vector[PaneResult] = {
+    val emitted = new ConcurrentLinkedQueue[PaneResult]()
+    val query = StreamingRunner.run(spark, wl, Dynamic(), input.toDS()).writeStream
+      .option("checkpointLocation", checkpoint)
+      .foreachBatch { (df: Dataset[PaneResult], _: Long) => df.collect().foreach(emitted.add) }
+      .start()
+    try batches.foreach { b => input.addData(b); query.processAllAvailable() }
+    finally query.stop()
+    emitted.asScala.toVector
+  }
+
+  private val splitQueries = Seq(
+    TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
+    TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42),
+    TrendQuery("q3", Pattern.seq("A", "B+", "!D"), Agg.Max("B", "v"), window = w42),
+    TrendQuery("q4", Pattern.seq("A", "!C", "B+"), Agg.Avg("B", "v"), window = w42))
 
   private def batchRows(wl: CompiledWorkload, events: Seq[Event]): Vector[PaneResult] =
     BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)).collect().toVector
@@ -120,12 +157,7 @@ class StreamingSpec extends SparkSpec {
 
   for (seed <- 40 until 43) {
     test(s"random micro-batch splits give the batch runner's rows (seed $seed)") {
-      val qs = Seq(
-        TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
-        TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42),
-        TrendQuery("q3", Pattern.seq("A", "B+", "!D"), Agg.Max("B", "v"), window = w42),
-        TrendQuery("q4", Pattern.seq("A", "!C", "B+"), Agg.Avg("B", "v"), window = w42))
-      val wl = Workload.compile(qs)
+      val wl = Workload.compile(splitQueries)
       val events = mkEvents(seed, 150, 3, 4, wl.paneMs)
       val batches = randomSplits(new Random(seed), events, wl.paneMs)
       assert(batches.flatten.sortBy(_.id) == events)
@@ -154,5 +186,70 @@ class StreamingSpec extends SparkSpec {
       query.processAllAvailable()
       assert(spark.table("res_clean").count() == n1)
     } finally query.stop()
+  }
+
+  test("a query restarted from its checkpoint emits every row exactly once") {
+    val wl = Workload.compile(splitQueries)
+    val events = mkEvents(35, 150, 3, 4, wl.paneMs)
+    val batches = events.grouped(25).toSeq
+    implicit val sqlCtx = spark.sqlContext
+    import spark.implicits._
+    val input = MemoryStream[Event]
+    withTempDir { dir =>
+      val first = runOn(dir.toString, wl, input, batches.take(3))
+      val second = runOn(dir.toString, wl, input, batches.drop(3) :+ flush(wl, events))
+      assert(first.nonEmpty && second.nonEmpty)
+      assertSameRows(first ++ second, batchRows(wl, events))
+    }
+  }
+
+  test("a query on a local checkpoint starts no readlink or chmod process") {
+    val wl = Workload.compile(splitQueries)
+    val events = mkEvents(36, 120, 3, 4, wl.paneMs)
+    implicit val sqlCtx = spark.sqlContext
+    import spark.implicits._
+    val input = MemoryStream[Event]
+    withTempDir { dir =>
+      val jfr = dir.resolve("process-starts.jfr")
+      val rec = new Recording()
+      val rows =
+        try {
+          rec.enable("jdk.ProcessStart")
+          rec.start()
+          val rows = runOn(dir.resolve("checkpoint").toString, wl, input, events.grouped(40).toSeq :+ flush(wl, events))
+          rec.stop()
+          rec.dump(jfr)
+          rows
+        } finally rec.close()
+      val commands = RecordingFile.readAllEvents(jfr).asScala.map(_.getString("command")).toVector
+      // Spark itself may still start `rm` or `getconf`.
+      val forks = commands.filter(c => Set("readlink", "chmod")(c.takeWhile(_ != ' ').split('/').last))
+      assert(forks.isEmpty, s"${forks.size} of ${commands.size} process starts: ${forks.take(3)}")
+      assertSameRows(rows, batchRows(wl, events))
+    }
+  }
+
+  test("a query writes the checkpoint files Spark's own manager writes, with the same modes") {
+    val wl = Workload.compile(splitQueries)
+    val events = mkEvents(37, 90, 3, 4, wl.paneMs)
+    val key = "spark.sql.streaming.checkpointFileManagerClass"
+    val uuid = "[0-9a-f]{8}(-[0-9a-f]{4}){3}-[0-9a-f]{12}".r
+    implicit val sqlCtx = spark.sqlContext
+    import spark.implicits._
+    /** Relative path (ids masked) → mode of each file and directory written. */
+    def checkpoint(manager: String): Map[String, String] = withTempDir { dir =>
+      val before = spark.conf.getOption(key)
+      spark.conf.set(key, manager)
+      try runOn(dir.toString, wl, MemoryStream[Event], events.grouped(30).toSeq :+ flush(wl, events))
+      finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+      Files.walk(dir).iterator.asScala.drop(1).map { f =>
+        uuid.replaceAllIn(dir.relativize(f).toString, "<id>") ->
+          PosixFilePermissions.toString(Files.getPosixFilePermissions(f))
+      }.toMap
+    }
+    val ours = checkpoint(classOf[LocalCheckpointFileManager].getName)
+    val sparks = checkpoint(classOf[FileContextBasedCheckpointFileManager].getName)
+    assert(ours.keys.exists(_.endsWith(".delta")) && ours.keys.exists(_.endsWith(".crc")))
+    assert(ours == sparks)
   }
 }
