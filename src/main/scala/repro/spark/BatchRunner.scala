@@ -6,8 +6,13 @@ import scala.collection.mutable
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.Partitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.SerializeFromObject
+import org.apache.spark.sql.execution.ExternalRDD
+import org.apache.spark.sql.types.ObjectType
+import org.apache.spark.storage.StorageLevel
 
 import repro.core.{PaneAgg, PaneResult}
 import repro.events.Event
@@ -25,7 +30,8 @@ import repro.query.{Agg, CompiledWorkload}
   * cost (trends are pane-scoped, DESIGN.md).
   * Window roll-up sums each query's panes into its window instances in the
   * task that holds the panes, so every pane result is reused by all
-  * windows that hold it, and shuffles one partial per (task, group).
+  * windows that hold it; behind [[paneResults]] it finishes there too, so a
+  * pass is two stages: ingest, then engine and roll-up.
   */
 object BatchRunner {
 
@@ -59,15 +65,15 @@ object BatchRunner {
       events: Dataset[Event],
   ): Dataset[PaneResult] = {
     val exec = new HamletExecutor(wl, policy, RunningSums)
-    val panes = events.rdd
+    val panes = objects(events)
       .mapPartitions(it => byGroup(it)(_.grp).iterator.map { case (g, es) => g -> EventBlocks.encode(es) })
       .partitionBy(partitioner(spark))
-      .mapPartitions { blocks =>
+      .mapPartitions({ blocks =>
         byGroup(blocks)(_._1).iterator.flatMap { case (grp, bs) =>
           val events = bs.iterator.flatMap(b => EventBlocks.decode(b._2)).toArray.sorted(Event.streamOrder)
           exec.groupResults(grp, events, new Metrics)
         }
-      }
+      }, preservesPartitioning = true)
     spark.createDataset(panes)(paneEncoder)
   }
 
@@ -78,17 +84,19 @@ object BatchRunner {
     * per the query's aggregate (null for AVG over no events and for
     * MIN/MAX over no trend).
     *
-    * Each task rolls its own pane rows up per group first, so when `panes`
-    * comes straight from [[paneResults]] the roll-up runs in the pane task;
-    * the partials of a group from all tasks are then merged by group.
+    * Each task rolls its own pane rows up per group first, and the partials
+    * of a group from all tasks are then merged by group. When `panes` comes
+    * straight from [[paneResults]] (not cached, same partition count) its
+    * tasks already hold whole groups, so the roll-up and the merge both run
+    * in the pane task and nothing is shuffled.
     *
     * Output columns: queryId, grp, windowInstance, windowEndPane, value.
     */
   def windowed(spark: SparkSession, wl: CompiledWorkload, panes: Dataset[PaneResult]): DataFrame = {
     val qs = wl.queries.map(q => (q.id, q.windowPanes.toLong, q.slidePanes.toLong, q.q.agg)).toArray
     val index = qs.iterator.map(_._1).zipWithIndex.toMap
-    val rows = panes.rdd
-      .mapPartitions { it =>
+    val rows = objects(panes)
+      .mapPartitions({ it =>
         val acc = mutable.HashMap.empty[String, Windows]
         it.foreach { r =>
           val q = index(r.queryId)
@@ -98,7 +106,7 @@ object BatchRunner {
           for (i <- math.max(0L, Math.floorDiv(r.pane - wp + sp, sp)) to Math.floorDiv(r.pane, sp)) w.add(q, i, a)
         }
         acc.iterator.map { case (g, w) => g -> w.pack }
-      }
+      }, preservesPartitioning = true)
       .partitionBy(partitioner(spark))
       .mapPartitions { parts =>
         byGroup(parts)(_._1).iterator.flatMap { case (grp, ps) =>
@@ -117,8 +125,34 @@ object BatchRunner {
     spark.createDataset(rows)(windowEncoder).toDF()
   }
 
+  /** The objects of `ds`: for a Dataset made by `createDataset(rdd)` and
+    * not cached, that RDD itself (so a Dataset that [[toDS]] or
+    * [[paneResults]] made is not planned again, and keeps its partitioner);
+    * for any other, `ds.rdd`. `as[T]` keeps the plan of a Dataset of
+    * another class, so the RDD's class is checked too.
+    */
+  private def objects[T](ds: Dataset[T]): RDD[T] = ds.queryExecution.analyzed match {
+    case SerializeFromObject(_, ExternalRDD(obj, rdd))
+        if obj.dataType == ObjectType(ds.encoder.clsTag.runtimeClass) && ds.storageLevel == StorageLevel.NONE =>
+      rdd.asInstanceOf[RDD[T]]
+    case _ => ds.rdd
+  }
+
   private def partitioner(spark: SparkSession) =
-    new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    new GroupPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+
+  /** Hashes a group into `numPartitions`, as `HashPartitioner` does, but
+    * equals only its own kind: an RDD that carries it was partitioned by
+    * this object, so a group's rows are in one partition.
+    */
+  private final class GroupPartitioner(val numPartitions: Int) extends Partitioner {
+    def getPartition(key: Any): Int = if (key == null) 0 else Math.floorMod(key.hashCode, numPartitions)
+    override def equals(other: Any): Boolean = other match {
+      case p: GroupPartitioner => p.numPartitions == numPartitions
+      case _                   => false
+    }
+    override def hashCode: Int = numPartitions
+  }
 
   /** `xs` collected per key. */
   private def byGroup[A](xs: Iterator[A])(key: A => String): mutable.HashMap[String, mutable.ArrayBuffer[A]] = {

@@ -8,7 +8,9 @@ import scala.util.Random
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
   SparkListenerStageCompleted, StageInfo}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions.col
+import org.apache.spark.storage.StorageLevel
 
 import repro.{Oracle, SparkSpec}
 import repro.core.PaneResult
@@ -118,16 +120,11 @@ class SparkBatchSpec extends SparkSpec {
     assert(BatchRunner.windowed(spark, wl, empty).count() == 0)
   }
 
-  test("one batch pass shuffles one block per (slice, group) and rolls windows up in the pane task") {
-    val wl = Workload.compile(Seq(
-      TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
-      TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42)))
-    val groups = 4
-    val events = mkEvents(6, 600, groups, 10, wl.paneMs)
-    val paneRows = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)).count()
-
-    // The stages of the jobs run under a marker property, read once the
-    // listener has seen the job end.
+  /** `body`'s result and the completed stages, by id, of the one job it
+    * must run, read once the listener has seen the job end.
+    */
+  private def oneJob[A](body: => A): (A, Vector[StageInfo]) = {
+    // The stages of the job run under a marker property.
     val sc = spark.sparkContext
     val marker = "repro.test.pass"
     val jobs = new ConcurrentLinkedQueue[Int]()
@@ -146,23 +143,60 @@ class SparkBatchSpec extends SparkSpec {
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(marker, "1")
-    val windows = try {
-      BatchRunner.windowed(spark, wl, BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)))
-        .collect()
-    } finally sc.setLocalProperty(marker, null)
+    val out = try body finally sc.setLocalProperty(marker, null)
     assert(ended.await(30, TimeUnit.SECONDS))
     sc.removeSparkListener(listener)
-    assert(windows.nonEmpty && jobs.size == 1)
+    assert(jobs.size == 1)
+    (out, stages.asScala.toVector.sortBy(_.stageId))
+  }
 
-    def written(s: StageInfo) = s.taskMetrics.shuffleWriteMetrics.recordsWritten
-    val writers = stages.asScala.toVector.filter(written(_) > 0).sortBy(_.stageId)
-    assert(writers.size == 2, s"shuffle-writing stages: ${writers.map(s => (s.stageId, written(s)))}")
-    val (ingest, rollup) = (writers(0), writers(1))
-    val slices = sc.defaultParallelism
-    assert(ingest.numTasks == slices)
-    assert(written(ingest) <= slices * groups, s"${written(ingest)} event-shuffle records for ${events.size} events")
-    assert(written(rollup) <= rollup.numTasks * groups)
-    assert(written(rollup) < paneRows, s"${written(rollup)} roll-up records for $paneRows pane rows")
+  private def written(s: StageInfo) = s.taskMetrics.shuffleWriteMetrics.recordsWritten
+  private def read(s: StageInfo) = s.taskMetrics.shuffleReadMetrics.recordsRead
+
+  test("one batch pass shuffles one block per (slice, group) and rolls windows up in the pane task") {
+    val wl = Workload.compile(Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
+      TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42)))
+    val groups = 4
+    val events = mkEvents(6, 600, groups, 10, wl.paneMs)
+    val (windows, stages) = oneJob {
+      BatchRunner.windowed(spark, wl, BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)))
+        .collect()
+    }
+    assert(windows.nonEmpty)
+
+    // Two stages: ingest, which writes the event shuffle, then the engine
+    // with the whole roll-up, which writes none.
+    val writers = stages.filter(written(_) > 0)
+    assert(stages.size == 2 && writers == stages.take(1),
+      s"stages (id, shuffle records written): ${stages.map(s => (s.stageId, written(s)))}")
+    val slices = spark.sparkContext.defaultParallelism
+    assert(writers.head.numTasks == slices)
+    assert(written(writers.head) <= slices * groups, s"${written(writers.head)} event-shuffle records for ${events.size} events")
+  }
+
+  test("windowed over cached panes reads the cache and does not run the engine again") {
+    val wl = Workload.compile(Seq(
+      TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
+      TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Avg("B", "v"), window = w42)))
+    val events = mkEvents(7, 400, 4, 8, wl.paneMs)
+    def pass(panes: Dataset[PaneResult]) = BatchRunner.windowed(spark, wl, panes).collect().toVector
+      .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3), Option(r.getAs[java.lang.Double](4))))
+      .sortBy(r => (r._1, r._2, r._3))
+    val uncached = pass(BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)))
+
+    val panes = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
+      .persist(StorageLevel.MEMORY_ONLY)
+    try {
+      assert(panes.count() > 0)
+      val (cached, stages) = oneJob(pass(panes))
+      // Every shuffle record the job reads was written in the job (the
+      // roll-up's partials): no stage reads the event shuffle, which was
+      // written before it.
+      assert(stages.map(read).sum == stages.map(written).sum && stages.map(written).sum > 0,
+        s"stages (id, shuffle records read, written): ${stages.map(s => (s.stageId, read(s), written(s)))}")
+      assert(uncached.nonEmpty && cached == uncached)
+    } finally panes.unpersist(blocking = true)
   }
 
   test("policies agree through the Spark runner") {

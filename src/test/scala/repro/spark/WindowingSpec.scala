@@ -3,11 +3,14 @@ package repro.spark
 import scala.collection.mutable
 import scala.util.Random
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
 import repro.core.{PaneAgg, PaneResult}
+import repro.events.StreamGen
+import repro.hamlet.Dynamic
 import repro.query._
 
 /** Window roll-up: pane results → WITHIN/SLIDE window results per query,
@@ -92,29 +95,73 @@ class WindowingSpec extends SparkSpec {
       StructField("value", DoubleType, nullable = true))))
   }
 
+  /** `windowed`'s rows over `panes`, sorted by query, group and instance. */
+  private def windowRows(wl: CompiledWorkload, panes: Dataset[PaneResult]) =
+    BatchRunner.windowed(spark, wl, panes).collect().toVector
+      .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3), Option(r.getAs[java.lang.Double](4))))
+      .sortBy(r => (r._1, r._2, r._3))
+
+  private lazy val spreadWl = Workload.compile(Seq(
+    TrendQuery("a", Pattern.seq("A", "B+"), Agg.Avg("B", "v"), window = QueryWindow(8, 2)),
+    TrendQuery("b", Pattern.seq("C", "B+"), Agg.Max("B", "v"), window = QueryWindow(6, 2))))
+
+  /** Pane rows of group "g" for both queries of [[spreadWl]], with integer
+    * channels, so every order of summing gives the same bits.
+    */
+  private val spread = (0L until 20L).flatMap(p => Seq(
+    pr("a", "g", p, (p % 3).toDouble, n = (1 + p % 2).toDouble, s = (2 * p).toDouble),
+    pr("b", "g", p, 1, n = 1, s = 0, mn = (-p).toDouble, mx = (p * 7 % 11).toDouble)))
+
   test("partials of a group merge across tasks: rows spread over partitions roll up as from one") {
     import spark.implicits._
-    val wl = Workload.compile(Seq(
-      TrendQuery("a", Pattern.seq("A", "B+"), Agg.Avg("B", "v"), window = QueryWindow(8, 2)),
-      TrendQuery("b", Pattern.seq("C", "B+"), Agg.Max("B", "v"), window = QueryWindow(6, 2))))
-    // Integer channels, so every order of summing gives the same bits.
-    val spread = (0L until 20L).flatMap(p => Seq(
-      pr("a", "g", p, (p % 3).toDouble, n = (1 + p % 2).toDouble, s = (2 * p).toDouble),
-      pr("b", "g", p, 1, n = 1, s = 0, mn = (-p).toDouble, mx = (p * 7 % 11).toDouble)))
     val apart = (0L until 20L).map(p => pr("a", "h", p, 1, n = 1, s = p.toDouble))
-    def rows(ds: Dataset[PaneResult]) =
-      BatchRunner.windowed(spark, wl, ds).collect().toVector
-        .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3), Option(r.getAs[java.lang.Double](4))))
-        .sortBy(r => (r._1, r._2, r._3))
-
-    val one = rows(spark.createDataset(spread ++ apart).repartition(1))
+    val one = windowRows(spreadWl, spark.createDataset(spread ++ apart).repartition(1))
     // "g" round-robin over 7 partitions, "h" alone in an eighth.
     val many = spark.createDataset(spread).repartition(7).union(spark.createDataset(apart).repartition(1))
     val groupsPerPartition = many.rdd.mapPartitions(it => Iterator(it.map(_.grp).toSet)).collect().toVector
     assert(groupsPerPartition.count(_.contains("g")) == 7)
     assert(groupsPerPartition.count(_.contains("h")) == 1 && groupsPerPartition.contains(Set("h")))
     assert(one.nonEmpty && one.map(_._2).toSet == Set("g", "h"))
-    assert(rows(many) == one)
+    assert(windowRows(spreadWl, many) == one)
+  }
+
+  test("a foreign partitioner never skips the merge") {
+    import spark.implicits._
+    val n = spark.conf.get("spark.sql.shuffle.partitions").toInt
+
+    // Rows hashed by pane under the session's partition count: a
+    // `HashPartitioner` of the runner's count, on a group spread over
+    // several partitions.
+    val hashed = spark.sparkContext.parallelize(spread.map(r => r.pane -> r))
+      .partitionBy(new HashPartitioner(n))
+      .mapPartitions(_.map(_._2), preservesPartitioning = true)
+    assert(hashed.partitioner.contains(new HashPartitioner(n)))
+    assert(hashed.mapPartitions(it => Iterator(it.nonEmpty)).collect().count(identity) > 1)
+    val one = windowRows(spreadWl, spark.createDataset(spread).repartition(1))
+    assert(one.nonEmpty && windowRows(spreadWl, spark.createDataset(hashed)) == one)
+
+    // Pane rows from `paneResults`, rolled up under another partition count.
+    val events = StreamGen.ridesharing(minutes = 16, eventsPerMin = 40, nGroups = 5, meanKleene = 3, maxKleene = 6,
+      seed = 9)
+    val wl = Workload.compile(Seq(
+      TrendQuery("r", Pattern.seq("R", "T+", "D"), window = QueryWindow(8, 2)),
+      TrendQuery("s", Pattern.seq("R", "T+"), Agg.Sum("T", "price"), window = QueryWindow(4, 2))))
+    def panes = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
+    val same = windowRows(wl, panes)
+    val before = panes
+    spark.conf.set("spark.sql.shuffle.partitions", (n + 3).toString)
+    try {
+      assert(BatchRunner.windowed(spark, wl, before).rdd.getNumPartitions == n + 3)
+      assert(same.map(_._2).distinct.size > 1 && windowRows(wl, before) == same)
+    } finally spark.conf.set("spark.sql.shuffle.partitions", n.toString)
+  }
+
+  test("pane rows of another class viewed as PaneResult roll up as PaneResults do") {
+    import spark.implicits._
+    val other = spark.createDataset(spark.sparkContext.parallelize(
+      spread.map(r => WindowingSpec.PaneRow(r.queryId, r.grp, r.pane, r.c, r.n, r.s, r.mn, r.mx)))).as[PaneResult]
+    val want = windowRows(spreadWl, spark.createDataset(spread))
+    assert(want.nonEmpty && windowRows(spreadWl, other) == want)
   }
 
   /** Plain Scala roll-up: (query, group, window instance) → (end pane, value). */
@@ -178,4 +225,10 @@ class WindowingSpec extends SparkSpec {
       assert(want.values.exists(_._2.isEmpty), "no null value was exercised")
     }
   }
+}
+
+object WindowingSpec {
+  /** A pane row of a class other than [[PaneResult]], with its fields. */
+  final case class PaneRow(queryId: String, grp: String, pane: Long, c: Double, n: Double, s: Double, mn: Double,
+                           mx: Double)
 }
