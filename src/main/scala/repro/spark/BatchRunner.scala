@@ -6,7 +6,7 @@ import scala.collection.mutable
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
-import org.apache.spark.Partitioner
+import org.apache.spark.{Partition, Partitioner, SparkContext, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.SerializeFromObject
@@ -23,15 +23,16 @@ import repro.query.{Agg, CompiledWorkload}
 /** Batch execution of a compiled workload on Spark.
   *
   * The stream is partitioned by the grouping attribute (§3.1 "partitions
-  * the stream by the values of grouping attributes"): each task packs its
-  * events into one [[EventBlocks]] block per group, and the blocks are
+  * the stream by the values of grouping attributes"): [[toDS]] packs each
+  * group's events into one [[EventBlocks]] block in the partition the
+  * group hashes to, and any other input is packed per (task, group) and
   * shuffled by group. Within a group the events are sorted in stream order
   * and each pane runs through the [[HamletExecutor]] at the [[RunningSums]]
   * cost (trends are pane-scoped, DESIGN.md).
   * Window roll-up sums each query's panes into its window instances in the
   * task that holds the panes, so every pane result is reused by all
   * windows that hold it; behind [[paneResults]] it finishes there too, so a
-  * pass is two stages: ingest, then engine and roll-up.
+  * pass from [[toDS]] to window rows is one stage with no shuffle.
   */
 object BatchRunner {
 
@@ -43,18 +44,21 @@ object BatchRunner {
   private lazy val paneEncoder: Encoder[PaneResult] = Encoders.product[PaneResult]
   private lazy val windowEncoder: Encoder[WindowRow] = Encoders.product[WindowRow]
 
-  /** The events as a Dataset, in `defaultParallelism` slices: the slices
-    * are packed on the driver concurrently, each as one [[EventBlocks]]
-    * block, and unpacked into `Event`s in their Spark tasks.
+  /** The events as a Dataset, one [[EventBlocks]] block per group: the
+    * groups are gathered on the driver, each block lies in the partition
+    * that the runner's partitioner picks for its group, and the partitions'
+    * blocks are encoded concurrently. [[paneResults]] takes the blocks as
+    * they are; any other read decodes them into `Event`s in its tasks.
     */
   def toDS(spark: SparkSession, events: Seq[Event]): Dataset[Event] = {
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val n = spark.sparkContext.defaultParallelism
-    val evs = events.toIndexedSeq
-    val blocks = Await.result(Future.traverse((0 until n).toVector) { i =>
-      Future(EventBlocks.encode(evs.slice((i.toLong * evs.size / n).toInt, ((i + 1).toLong * evs.size / n).toInt)))
+    val part = partitioner(spark)
+    val evs = Array.fill(part.numPartitions)(mutable.ArrayBuffer.empty[Event])
+    events.foreach(e => evs(part.getPartition(e.grp)) += e)
+    val parts = Await.result(Future.traverse(evs.toVector.zipWithIndex) { case (es, i) =>
+      Future(new BlockPartition(i, groupBlocks(es.iterator).toVector))
     }, Duration.Inf)
-    spark.createDataset(spark.sparkContext.parallelize(blocks, n).flatMap(EventBlocks.decode))(eventEncoder)
+    spark.createDataset[Event](new EventRDD(new GroupBlocks(spark.sparkContext, parts.toArray, part)))(eventEncoder)
   }
 
   /** Per-(query, group, pane) aggregate channels. */
@@ -65,8 +69,11 @@ object BatchRunner {
       events: Dataset[Event],
   ): Dataset[PaneResult] = {
     val exec = new HamletExecutor(wl, policy, RunningSums)
-    val panes = objects(events)
-      .mapPartitions(it => byGroup(it)(_.grp).iterator.map { case (g, es) => g -> EventBlocks.encode(es) })
+    val blocks = objects(events) match {
+      case e: EventRDD => e.blocks
+      case rdd => rdd.mapPartitions(groupBlocks)
+    }
+    val panes = blocks
       .partitionBy(partitioner(spark))
       .mapPartitions({ blocks =>
         byGroup(blocks)(_._1).iterator.flatMap { case (grp, bs) =>
@@ -153,6 +160,31 @@ object BatchRunner {
     }
     override def hashCode: Int = numPartitions
   }
+
+  /** One partition of [[toDS]]: the block of each group placed in it. It
+    * holds the blocks itself, so each task ships only its own.
+    */
+  private final class BlockPartition(val index: Int, val blocks: Seq[(String, Array[Byte])]) extends Partition
+
+  /** [[toDS]]'s blocks, declaring the partitioner that placed them. */
+  private final class GroupBlocks(sc: SparkContext, @transient private val parts: Array[Partition],
+                                  part: GroupPartitioner) extends RDD[(String, Array[Byte])](sc, Nil) {
+    override val partitioner: Option[Partitioner] = Some(part)
+    protected def getPartitions: Array[Partition] = parts
+    def compute(split: Partition, context: TaskContext): Iterator[(String, Array[Byte])] =
+      split.asInstanceOf[BlockPartition].blocks.iterator
+  }
+
+  /** The events of [[toDS]]'s `blocks`, decoded in their tasks. */
+  private final class EventRDD(val blocks: RDD[(String, Array[Byte])]) extends RDD[Event](blocks) {
+    protected def getPartitions: Array[Partition] = blocks.partitions
+    def compute(split: Partition, context: TaskContext): Iterator[Event] =
+      blocks.iterator(split, context).flatMap(b => EventBlocks.decode(b._2))
+  }
+
+  /** One [[EventBlocks]] block per group of `events`, keyed by the group. */
+  private def groupBlocks(events: Iterator[Event]): Iterator[(String, Array[Byte])] =
+    byGroup(events)(_.grp).iterator.map { case (g, es) => g -> EventBlocks.encode(es) }
 
   /** `xs` collected per key. */
   private def byGroup[A](xs: Iterator[A])(key: A => String): mutable.HashMap[String, mutable.ArrayBuffer[A]] = {

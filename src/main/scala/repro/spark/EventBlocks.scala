@@ -7,8 +7,9 @@ import scala.collection.mutable
 import repro.events.Event
 
 /** Events as one compact byte block, so that `toDS` ships one array per
-  * slice, `paneResults` shuffles one array per (task, group) and
-  * `StreamingRunner` keeps one array of state per group, instead of
+  * group to the partition where `paneResults` runs the group's engine,
+  * `paneResults` shuffles one array per (task, group) of any other input,
+  * and `StreamingRunner` keeps one array of state per group, instead of
   * serializing each `Event` and its maps.
   *
   * Layout (big-endian): the string dictionary (count, then each string as

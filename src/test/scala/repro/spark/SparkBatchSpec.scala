@@ -73,7 +73,7 @@ class SparkBatchSpec extends SparkSpec {
       e.num.map { case (k, v) => utf8(k) -> v }, e.str.map { case (k, v) => utf8(k) -> utf8(v) })
     assert(oddEvents.map(viaSpark) != oddEvents)
     assert(EventBlocks.decode(EventBlocks.encode(oddEvents)).map(exact).toVector == oddEvents.map(exact))
-    // 1 and 2 events: fewer than the slices, so most blocks are empty.
+    // 1 and 2 events: fewer than the partitions, so most partitions are empty.
     for (events <- Seq(mkEvents(1, 50, 3, 2, 120_000L), oddEvents, oddEvents.take(1), oddEvents.take(2))) {
       val got = BatchRunner.toDS(spark, events).collect().toVector.sortBy(_.id)
       val want = events.map(viaSpark).sortBy(_.id)
@@ -153,26 +153,64 @@ class SparkBatchSpec extends SparkSpec {
   private def written(s: StageInfo) = s.taskMetrics.shuffleWriteMetrics.recordsWritten
   private def read(s: StageInfo) = s.taskMetrics.shuffleReadMetrics.recordsRead
 
-  test("one batch pass shuffles one block per (slice, group) and rolls windows up in the pane task") {
+  test("a batch pass is one job of one stage with no shuffle") {
     val wl = Workload.compile(Seq(
       TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
       TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Sum("B", "v"), window = w42)))
-    val groups = 4
-    val events = mkEvents(6, 600, groups, 10, wl.paneMs)
+    val events = mkEvents(6, 600, 4, 10, wl.paneMs)
     val (windows, stages) = oneJob {
       BatchRunner.windowed(spark, wl, BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events)))
         .collect()
     }
     assert(windows.nonEmpty)
 
-    // Two stages: ingest, which writes the event shuffle, then the engine
-    // with the whole roll-up, which writes none.
-    val writers = stages.filter(written(_) > 0)
-    assert(stages.size == 2 && writers == stages.take(1),
+    // `toDS` placed each group's block where the engine reads it, and the
+    // roll-up runs in the engine's task: one stage, no shuffle.
+    assert(stages.size == 1 && written(stages.head) == 0,
       s"stages (id, shuffle records written): ${stages.map(s => (s.stageId, written(s)))}")
-    val slices = spark.sparkContext.defaultParallelism
-    assert(writers.head.numTasks == slices)
-    assert(written(writers.head) <= slices * groups, s"${written(writers.head)} event-shuffle records for ${events.size} events")
+    assert(stages.head.numTasks == spark.conf.get("spark.sql.shuffle.partitions").toInt)
+  }
+
+  test("toDS places each group's events in exactly one partition") {
+    val events = mkEvents(8, 500, 12, 4, 60_000L)
+    val parts = BatchRunner.toDS(spark, events).rdd.glom().collect()
+    assert(parts.length == spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    val homes = parts.toVector.zipWithIndex.flatMap { case (es, i) => es.map(_.grp -> i) }.distinct.groupMap(_._1)(_._2)
+    assert(homes.keySet == events.map(_.grp).toSet)
+    homes.foreach { case (g, ps) => assert(ps.size == 1, s"group $g lies in partitions $ps") }
+    assert(parts.map(_.length).sum == events.size)
+  }
+
+  private val twoQueries = Workload.compile(Seq(
+    TrendQuery("q1", Pattern.seq("A", "B+"), window = w42),
+    TrendQuery("q2", Pattern.seq("C", "B+"), Agg.Avg("B", "v"), window = w42)))
+
+  private def paneRows(ds: Dataset[Event]) =
+    BatchRunner.paneResults(spark, twoQueries, Dynamic(), ds).collect().toVector
+
+  test("a toDS Dataset read after the partition count changed shuffles its blocks and gives the same pane rows") {
+    val events = mkEvents(9, 400, 5, 6, twoQueries.paneMs)
+    val want = paneRows(BatchRunner.toDS(spark, events))
+    val n = spark.conf.get("spark.sql.shuffle.partitions").toInt
+    val ds = BatchRunner.toDS(spark, events)
+    spark.conf.set("spark.sql.shuffle.partitions", (n + 3).toString)
+    val (got, stages) = try oneJob(paneRows(ds)) finally spark.conf.set("spark.sql.shuffle.partitions", n.toString)
+    assertSameRows(got, want)
+    // One record per group: the blocks move whole, as they were encoded.
+    assert(stages.map(written).sum == events.map(_.grp).distinct.size,
+      s"stages (id, shuffle records written): ${stages.map(s => (s.stageId, written(s)))}")
+  }
+
+  test("a filtered or persisted toDS Dataset gives the same pane rows as the direct pass") {
+    val events = mkEvents(10, 400, 5, 6, twoQueries.paneMs)
+    val want = paneRows(BatchRunner.toDS(spark, events))
+    assert(want.nonEmpty)
+    assertSameRows(paneRows(BatchRunner.toDS(spark, events).filter((_: Event) => true)), want)
+    val persisted = BatchRunner.toDS(spark, events).persist(StorageLevel.MEMORY_ONLY)
+    try {
+      assert(persisted.count() == events.size)
+      assertSameRows(paneRows(persisted), want)
+    } finally persisted.unpersist(blocking = true)
   }
 
   test("windowed over cached panes reads the cache and does not run the engine again") {
