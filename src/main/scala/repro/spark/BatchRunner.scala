@@ -1,7 +1,5 @@
 package repro.spark
 
-import java.lang.Double.{doubleToRawLongBits, longBitsToDouble}
-
 import scala.collection.mutable
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
@@ -29,10 +27,11 @@ import repro.query.{Agg, CompiledWorkload}
   * shuffled by group. Within a group the events are sorted in stream order
   * and each pane runs through the [[HamletExecutor]] at the [[RunningSums]]
   * cost (trends are pane-scoped, DESIGN.md).
-  * Window roll-up sums each query's panes into its window instances in the
-  * task that holds the panes, so every pane result is reused by all
-  * windows that hold it; behind [[paneResults]] it finishes there too, so a
-  * pass from [[toDS]] to window rows is one stage with no shuffle.
+  * Window roll-up gathers each group's pane rows in one task and sums each
+  * query's panes into its window instances there, so every pane result is
+  * reused by all windows that hold it. Behind [[paneResults]] the groups
+  * are already whole in the pane tasks, so a pass from [[toDS]] to window
+  * rows is one stage with no shuffle.
   */
 object BatchRunner {
 
@@ -91,11 +90,12 @@ object BatchRunner {
     * per the query's aggregate (null for AVG over no events and for
     * MIN/MAX over no trend).
     *
-    * Each task rolls its own pane rows up per group first, and the partials
-    * of a group from all tasks are then merged by group. When `panes` comes
-    * straight from [[paneResults]] (not cached, same partition count) its
-    * tasks already hold whole groups, so the roll-up and the merge both run
-    * in the pane task and nothing is shuffled.
+    * The pane rows are keyed by group and partitioned by the runner's
+    * partitioner, and one task rolls each group's rows up into its window
+    * instances. When `panes` comes straight from [[paneResults]] (not
+    * cached, same partition count) it already carries that partitioner, so
+    * the roll-up runs in the pane task and nothing is shuffled; any other
+    * input is shuffled once, as pane rows.
     *
     * Output columns: queryId, grp, windowInstance, windowEndPane, value.
     */
@@ -103,29 +103,23 @@ object BatchRunner {
     val qs = wl.queries.map(q => (q.id, q.windowPanes.toLong, q.slidePanes.toLong, q.q.agg)).toArray
     val index = qs.iterator.map(_._1).zipWithIndex.toMap
     val rows = objects(panes)
-      .mapPartitions({ it =>
-        val acc = mutable.HashMap.empty[String, Windows]
-        it.foreach { r =>
+      .mapPartitions(_.map(r => r.grp -> r), preservesPartitioning = true)
+      .partitionBy(partitioner(spark))
+      .mapPartitions { it =>
+        // group → (query index, instance) → the channels of its panes so far
+        val acc = mutable.HashMap.empty[String, mutable.HashMap[(Int, Long), PaneAgg]]
+        it.foreach { case (grp, r) =>
           val q = index(r.queryId)
           val (_, wp, sp, _) = qs(q)
-          val w = acc.getOrElseUpdate(r.grp, new Windows)
+          val w = acc.getOrElseUpdate(grp, mutable.HashMap.empty)
           val a = PaneAgg(r.c, r.n, r.s, r.mn, r.mx)
-          for (i <- math.max(0L, Math.floorDiv(r.pane - wp + sp, sp)) to Math.floorDiv(r.pane, sp)) w.add(q, i, a)
+          for (i <- math.max(0L, Math.floorDiv(r.pane - wp + sp, sp)) to Math.floorDiv(r.pane, sp))
+            w.updateWith((q, i))(o => Some(o.fold(a)(_ + a)))
         }
-        acc.iterator.map { case (g, w) => g -> w.pack }
-      }, preservesPartitioning = true)
-      .partitionBy(partitioner(spark))
-      .mapPartitions { parts =>
-        byGroup(parts)(_._1).iterator.flatMap { case (grp, ps) =>
-          // Behind `paneResults` a group arrives as one partial: its rows
-          // come straight from the packed array.
-          val packed =
-            if (ps.size == 1) ps.head._2
-            else { val w = new Windows; ps.foreach(p => w.unpack(p._2)); w.pack }
-          Iterator.range(0, packed.length, 7).map { j =>
-            val (id, wp, sp, agg) = qs(packed(j).toInt)
-            val i = packed(j + 1)
-            WindowRow(id, grp, i, i * sp + wp, value(agg, Windows.agg(packed, j)))
+        acc.iterator.flatMap { case (grp, w) =>
+          w.iterator.map { case ((q, i), a) =>
+            val (id, wp, sp, agg) = qs(q)
+            WindowRow(id, grp, i, i * sp + wp, value(agg, a))
           }
         }
       }
@@ -191,42 +185,6 @@ object BatchRunner {
     val out = mutable.HashMap.empty[String, mutable.ArrayBuffer[A]]
     xs.foreach(x => out.getOrElseUpdate(key(x), mutable.ArrayBuffer.empty) += x)
     out
-  }
-
-  /** The window instances of one group: (query index, instance) → the
-    * channels of the panes added so far. Shipped as one `Array[Long]`,
-    * seven entries per instance: query index, instance, and the bits of
-    * c, n, s, mn and mx.
-    */
-  private final class Windows {
-    private val sums = mutable.HashMap.empty[(Int, Long), PaneAgg]
-
-    def add(q: Int, i: Long, a: PaneAgg): Unit = sums.updateWith((q, i))(o => Some(o.fold(a)(_ + a)))
-
-    def pack: Array[Long] = {
-      val out = new Array[Long](7 * sums.size)
-      var j = 0
-      sums.foreach { case ((q, i), a) =>
-        out(j) = q; out(j + 1) = i
-        out(j + 2) = doubleToRawLongBits(a.c); out(j + 3) = doubleToRawLongBits(a.n)
-        out(j + 4) = doubleToRawLongBits(a.s); out(j + 5) = doubleToRawLongBits(a.mn)
-        out(j + 6) = doubleToRawLongBits(a.mx)
-        j += 7
-      }
-      out
-    }
-
-    def unpack(p: Array[Long]): Unit = {
-      var j = 0
-      while (j < p.length) { add(p(j).toInt, p(j + 1), Windows.agg(p, j)); j += 7 }
-    }
-  }
-
-  private object Windows {
-    /** The channels of the instance packed at `p(j)`. */
-    def agg(p: Array[Long], j: Int): PaneAgg =
-      PaneAgg(longBitsToDouble(p(j + 2)), longBitsToDouble(p(j + 3)), longBitsToDouble(p(j + 4)),
-        longBitsToDouble(p(j + 5)), longBitsToDouble(p(j + 6)))
   }
 
   private def value(agg: Agg, a: PaneAgg): Option[Double] = agg match {

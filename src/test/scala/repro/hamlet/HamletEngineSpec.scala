@@ -147,7 +147,6 @@ class HamletEngineSpec extends AnyFunSuite {
     val q1 = TrendQuery("q1", Pattern.seq("A", "B+"), preds = Seq(NumPred("B", "v", ">", 50)),
       window = QueryWindow(4, 2))
     val q2 = TrendQuery("q2", Pattern.seq("A", "B+"), window = QueryWindow(4, 2))
-    val rnd = new Random(9)
     val burst1 = (1 to 10).map(i => ev(i.toLong, "B", if (i % 2 == 0) 80 else 10))
     val burst2 = (12 to 22).map(i => ev(i.toLong, "B", 80))
     val events = Seq(ev(0, "A")) ++ burst1 ++ Seq(ev(11, "A")) ++ burst2

@@ -229,8 +229,8 @@ class SparkBatchSpec extends SparkSpec {
       assert(panes.count() > 0)
       val (cached, stages) = oneJob(pass(panes))
       // Every shuffle record the job reads was written in the job (the
-      // roll-up's partials): no stage reads the event shuffle, which was
-      // written before it.
+      // cached pane rows, shuffled by group for the roll-up): no stage
+      // reads the event shuffle, which was written before it.
       assert(stages.map(read).sum == stages.map(written).sum && stages.map(written).sum > 0,
         s"stages (id, shuffle records read, written): ${stages.map(s => (s.stageId, read(s), written(s)))}")
       assert(uncached.nonEmpty && cached == uncached)

@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.util.Random
 
 import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
@@ -188,6 +188,24 @@ class WindowingSpec extends SparkSpec {
     }.toMap
   }
 
+  /** `windowed`'s rows `out` hold exactly the instances of `want`, with
+    * the same end panes and values equal up to summation order.
+    */
+  private def assertReference(out: DataFrame, want: Map[(String, String, Long), (Long, Option[Double])]): Unit = {
+    val got = out.collect()
+      .map(r => (r.getString(0), r.getString(1), r.getLong(2)) ->
+        (r.getLong(3), Option(r.getAs[java.lang.Double](4))))
+    assert(got.length == want.size && got.map(_._1).toSet == want.keySet)
+    got.foreach { case (k, (end, v)) =>
+      val (wantEnd, wantV) = want(k)
+      assert(end == wantEnd, s"$k")
+      (v.map(_.doubleValue()), wantV) match {
+        case (Some(a), Some(b)) => assert(math.abs(a - b) <= 1e-6 * math.max(1.0, math.abs(b)), s"$k: $a vs $b")
+        case (a, b)             => assert(a == b, s"$k")
+      }
+    }
+  }
+
   for (seed <- 0 until 4) {
     test(s"random pane rows roll up as the plain Scala reference does (seed $seed)") {
       import spark.implicits._
@@ -209,20 +227,35 @@ class WindowingSpec extends SparkSpec {
         if (n == 0) pr(q.id, g, p, c)
         else pr(q.id, g, p, c, n, s = lo * n + rnd.nextDouble(), mn = lo, mx = lo + rnd.nextDouble() * 50)
       }
-      val got = BatchRunner.windowed(spark, wl, spark.createDataset(rows)).collect()
-        .map(r => (r.getString(0), r.getString(1), r.getLong(2)) ->
-          (r.getLong(3), Option(r.getAs[java.lang.Double](4))))
       val want = reference(wl, rows)
-      assert(got.length == want.size && got.map(_._1).toSet == want.keySet)
-      got.foreach { case (k, (end, v)) =>
-        val (wantEnd, wantV) = want(k)
-        assert(end == wantEnd, s"$k")
-        (v.map(_.doubleValue()), wantV) match {
-          case (Some(a), Some(b)) => assert(math.abs(a - b) <= 1e-6 * math.max(1.0, math.abs(b)), s"$k: $a vs $b")
-          case (a, b)             => assert(a == b, s"$k")
-        }
-      }
+      // From one task, and with each group's rows spread over five tasks.
+      assertReference(BatchRunner.windowed(spark, wl, spark.createDataset(rows)), want)
+      assertReference(BatchRunner.windowed(spark, wl, spark.createDataset(rows).repartition(5)), want)
       assert(want.values.exists(_._2.isEmpty), "no null value was exercised")
+    }
+  }
+
+  for (seed <- 0 until 4) {
+    test(s"toDS, paneResults and windowed under random windows match the reference over their pane rows (seed $seed)") {
+      val rnd = new Random(100 + seed)
+      // Slides are multiples of a random base, so the pane (the gcd of all
+      // windows and slides) varies with the seed.
+      val base = 1 + rnd.nextInt(3)
+      val shapes = Seq(
+        (Pattern.seq("R", "T+", "D"), Agg.CountStar), (Pattern.seq("R", "T+"), Agg.CountE("T")),
+        (Pattern.seq("R", "T+"), Agg.Sum("T", "price")), (Pattern.seq("R", "T+", "C"), Agg.Avg("T", "speed")),
+        (Pattern.seq("R", "T+"), Agg.Min("T", "speed")), (Pattern.seq("R", "T+", "P"), Agg.Max("T", "price")))
+      val wl = Workload.compile(shapes.zipWithIndex.map { case ((pat, agg), i) =>
+        val slide = base * (1 + rnd.nextInt(3))
+        TrendQuery(s"q$i", pat, agg, window = QueryWindow(slide * (1 + rnd.nextInt(3)), slide))
+      })
+      val events = StreamGen.ridesharing(minutes = 30, eventsPerMin = 30, nGroups = 4, meanKleene = 3,
+        maxKleene = 6, seed = seed.toLong)
+      def panes = BatchRunner.paneResults(spark, wl, Dynamic(), BatchRunner.toDS(spark, events))
+      val want = reference(wl, panes.collect().toVector)
+      assert(want.keySet.map(_._1).size == wl.queries.size && want.keySet.map(_._2).size > 1)
+      assert(wl.queries.exists(q => q.windowPanes > q.slidePanes), "no sliding window was drawn")
+      assertReference(BatchRunner.windowed(spark, wl, panes), want)
     }
   }
 }
